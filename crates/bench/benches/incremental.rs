@@ -73,7 +73,7 @@ fn main() {
             engine.price_epoch(&g0, ap);
             for g in [&g1, &g0] {
                 assert_eq!(
-                    engine.price_epoch(g, ap),
+                    *engine.price_epoch(g, ap),
                     cold.price_all_sources(g, ap),
                     "repair diverged from cold at n={n} moves={moves}"
                 );

@@ -58,7 +58,7 @@ fn check_roundtrip(
     engine.price_epoch(a, ap);
     for (g, m) in [(b, fwd), (a, rev)] {
         assert_eq!(
-            engine.price_epoch_mapped(g, ap, m),
+            *engine.price_epoch_mapped(g, ap, m),
             cold.price_all_sources(g, ap),
             "{label}: mapped repair diverged from cold"
         );

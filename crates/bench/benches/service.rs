@@ -4,8 +4,8 @@
 //!
 //! The deployment is the same ~12-neighbor UDG the incremental bench
 //! uses (n = 1024). Each `serve` iteration pushes one pre-generated
-//! 4096-session batch through the front-end — snapshot reads, parallel
-//! anycast argmin over k APs, and bounded-queue admission — and drains
+//! 4096-session batch through the front-end — one snapshot read,
+//! parallel anycast argmin over k APs, and bounded-queue admission — and drains
 //! the queues. Per-session work is an array lookup plus a k-way
 //! compare, so this measures the serving layer itself, not Dijkstra.
 //! The committed snapshot (`BENCH_service.json`) is the scaling
@@ -18,7 +18,7 @@
 //!
 //! `epoch_swap/n1024/k4` times one full service epoch — four shard
 //! re-warms (alternating two cost profiles, so every epoch repairs
-//! rather than reuses) plus four snapshot publishes — the latency a
+//! rather than reuses) plus one snapshot publish — the latency a
 //! deployment pays per mobility beat, entirely off the serving path.
 
 use truthcast_graph::generators::{pairs_within_range, random_placement};

@@ -75,6 +75,14 @@
 //! row-damage set. The outcome is [`EpochOutcome::WarmResize`], under
 //! the same damage-threshold contract.
 //!
+//! **Shared output.** Each epoch's table is handed out as an
+//! `Arc<Vec<Option<UnicastPricing>>>` that is never mutated after it is
+//! returned. The engine keeps its own working table and the `Arc` it
+//! last returned: a [`EpochOutcome::Reused`] epoch returns that same
+//! `Arc` (no copy at all), and any other epoch publishes one fresh copy
+//! of the working table. Callers that publish tables (the payment
+//! service) therefore share unchanged tables instead of cloning them.
+//!
 //! Observability: `core.delta.{deltas,dirty_nodes,repaired_slices,
 //! fallbacks,cold_resizes,warm_resizes,born,died,reuses,subtree_runs,
 //! row_repairs,row_rebuilds}` counters — all registered at engine
@@ -95,7 +103,7 @@
 //! cold sweep's tie-breaking — and the differential battery in
 //! `crates/core/tests/incremental_vs_cold.rs` holds it to that.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use truthcast_graph::heap::IndexedHeap;
 use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
@@ -480,10 +488,10 @@ pub enum EpochOutcome {
 ///
 /// let mut engine = IncrementalEngine::new();
 /// let ap = NodeId(3);
-/// assert_eq!(engine.price_epoch(&e0, ap), all_sources_payments(&e0, ap));
+/// assert_eq!(*engine.price_epoch(&e0, ap), all_sources_payments(&e0, ap));
 /// assert_eq!(engine.last_outcome(), EpochOutcome::Cold);
 /// // Node 2 re-declares: only its branch is repaired, same table as cold.
-/// assert_eq!(engine.price_epoch(&e1, ap), all_sources_payments(&e1, ap));
+/// assert_eq!(*engine.price_epoch(&e1, ap), all_sources_payments(&e1, ap));
 /// assert!(matches!(engine.last_outcome(), EpochOutcome::Repaired { .. }));
 /// ```
 pub struct IncrementalEngine {
@@ -505,7 +513,11 @@ pub struct IncrementalEngine {
     /// values survived an epoch.
     row_via: Vec<Vec<u32>>,
     row_stale: Vec<bool>,
+    /// The working table the repair path edits in place.
     out: Vec<Option<UnicastPricing>>,
+    /// The table most recently returned: a copy of `out` that nothing
+    /// mutates, handed out again unchanged by `Reused` epochs.
+    published: Arc<Vec<Option<UnicastPricing>>>,
     prev: Option<(NodeWeightedGraph, NodeId)>,
     touched: Vec<bool>,
     /// Pre-repair snapshots of the distance and parent tables, taken at
@@ -568,6 +580,7 @@ impl IncrementalEngine {
             row_via: Vec::new(),
             row_stale: Vec::new(),
             out: Vec::new(),
+            published: Arc::default(),
             prev: None,
             touched: Vec::new(),
             old_dist: Vec::new(),
@@ -637,11 +650,15 @@ impl IncrementalEngine {
     /// `out[i]` is bit-identical to [`crate::all_sources_payments`]
     /// (and so to [`crate::fast_payments`]); index `ap` and unreachable
     /// sources hold `None`.
+    ///
+    /// The returned table is shared, never mutated: a
+    /// [`EpochOutcome::Reused`] epoch returns the previous epoch's `Arc`
+    /// itself, and every other epoch returns a fresh one.
     pub fn price_epoch(
         &mut self,
         g: &NodeWeightedGraph,
         ap: NodeId,
-    ) -> Vec<Option<UnicastPricing>> {
+    ) -> Arc<Vec<Option<UnicastPricing>>> {
         let _span = truthcast_obs::span("core.delta.price_epoch");
         let n = g.num_nodes();
         match self.prev.take() {
@@ -651,7 +668,7 @@ impl IncrementalEngine {
                     truthcast_obs::add("core.delta.reuses", 1);
                     self.prev = Some((pg, pap));
                     self.last_outcome = EpochOutcome::Reused;
-                    return self.out.clone();
+                    return Arc::clone(&self.published);
                 }
                 truthcast_obs::add("core.delta.deltas", delta.len() as u64);
                 let region = {
@@ -694,8 +711,15 @@ impl IncrementalEngine {
                 self.last_outcome = EpochOutcome::Cold;
             }
         }
+        self.publish(g, ap)
+    }
+
+    /// Ends a repair or cold epoch: remembers `g` for the next diff and
+    /// returns one fresh copy of the working table.
+    fn publish(&mut self, g: &NodeWeightedGraph, ap: NodeId) -> Arc<Vec<Option<UnicastPricing>>> {
         self.prev = Some((g.clone(), ap));
-        self.out.clone()
+        self.published = Arc::new(self.out.clone());
+        Arc::clone(&self.published)
     }
 
     /// [`IncrementalEngine::price_epoch`] across a resize: `map` carries
@@ -713,13 +737,14 @@ impl IncrementalEngine {
     ///
     /// # Panics
     /// If the map's endpoint lengths don't match `g` and the previous
-    /// epoch's graph.
+    /// epoch's graph. Both are checked before any state changes, so the
+    /// engine is still warm for a correct retry.
     pub fn price_epoch_mapped(
         &mut self,
         g: &NodeWeightedGraph,
         ap: NodeId,
         map: &NodeMap,
-    ) -> Vec<Option<UnicastPricing>> {
+    ) -> Arc<Vec<Option<UnicastPricing>>> {
         assert_eq!(
             map.new_len(),
             g.num_nodes(),
@@ -728,28 +753,24 @@ impl IncrementalEngine {
         if map.is_identity() {
             return self.price_epoch(g, ap);
         }
+        if let Some((pg, _)) = &self.prev {
+            assert_eq!(
+                map.old_len(),
+                pg.num_nodes(),
+                "map old_len must match the previous epoch graph"
+            );
+        }
         let _span = truthcast_obs::span("core.delta.price_epoch");
         match self.prev.take() {
-            Some((pg, pap)) => {
-                assert_eq!(
-                    map.old_len(),
-                    pg.num_nodes(),
-                    "map old_len must match the previous epoch graph"
-                );
-                if map.to_new(pap) == Some(ap) {
-                    self.warm_resize(g, ap, &pg, map);
-                } else {
-                    self.cold(g, ap);
-                    self.last_outcome = EpochOutcome::Cold;
-                }
+            Some((pg, pap)) if map.to_new(pap) == Some(ap) => {
+                self.warm_resize(g, ap, &pg, map);
             }
-            None => {
+            _ => {
                 self.cold(g, ap);
                 self.last_outcome = EpochOutcome::Cold;
             }
         }
-        self.prev = Some((g.clone(), ap));
-        self.out.clone()
+        self.publish(g, ap)
     }
 
     /// The cross-resize pipeline: translate warm state under the map,
@@ -1648,8 +1669,11 @@ mod tests {
         assert_eq!(e.last_outcome(), EpochOutcome::Cold);
         let second = e.price_epoch(&g, NodeId(3));
         assert_eq!(e.last_outcome(), EpochOutcome::Reused);
-        assert_eq!(first, second);
-        assert_eq!(first, all_sources_payments(&g, NodeId(3)));
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "a reused epoch copies nothing"
+        );
+        assert_eq!(*first, all_sources_payments(&g, NodeId(3)));
     }
 
     #[test]
@@ -1661,7 +1685,7 @@ mod tests {
         let g1 = units(&pairs, &[0, 5, 3, 0]);
         let got = e.price_epoch(&g1, ap);
         assert!(matches!(e.last_outcome(), EpochOutcome::Repaired { .. }));
-        assert_eq!(got, all_sources_payments(&g1, ap));
+        assert_eq!(*got, all_sources_payments(&g1, ap));
         let (dist, _) = e.tables();
         let mut cold = crate::AllSourcesEngine::with_threads(1);
         cold.price_all_sources(&g1, ap);
@@ -1677,7 +1701,7 @@ mod tests {
         let g1 = units(&pairs, &[0, 4, 2]);
         let got = e.price_epoch(&g1, ap);
         assert!(matches!(e.last_outcome(), EpochOutcome::Fallback { .. }));
-        assert_eq!(got, all_sources_payments(&g1, ap));
+        assert_eq!(*got, all_sources_payments(&g1, ap));
     }
 
     #[test]
@@ -1697,7 +1721,7 @@ mod tests {
             }
         );
         assert_eq!(before, after);
-        assert_eq!(after, all_sources_payments(&g1, ap));
+        assert_eq!(*after, all_sources_payments(&g1, ap));
     }
 
     #[test]
@@ -1713,9 +1737,9 @@ mod tests {
         let t1 = e.price_epoch(&cut, ap);
         assert!(matches!(e.last_outcome(), EpochOutcome::Repaired { .. }));
         assert!(t1[2].is_none());
-        assert_eq!(t1, all_sources_payments(&cut, ap));
+        assert_eq!(*t1, all_sources_payments(&cut, ap));
         let t2 = e.price_epoch(&full, ap);
-        assert_eq!(t2, all_sources_payments(&full, ap));
+        assert_eq!(*t2, all_sources_payments(&full, ap));
         assert!(t2[2].is_some());
     }
 
@@ -1730,7 +1754,7 @@ mod tests {
             e.last_outcome(),
             EpochOutcome::ColdResize { from: 2, to: 3 }
         );
-        assert_eq!(got, all_sources_payments(&bigger, ap));
+        assert_eq!(*got, all_sources_payments(&bigger, ap));
     }
 
     #[test]
@@ -1785,7 +1809,7 @@ mod tests {
                 repaired: 2,
             }
         );
-        assert_eq!(got, all_sources_payments(&g1, ap));
+        assert_eq!(*got, all_sources_payments(&g1, ap));
         let mut cold = crate::AllSourcesEngine::with_threads(1);
         cold.price_all_sources(&g1, ap);
         assert_eq!(e.tables().0, cold.tables().0);
@@ -1814,7 +1838,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(got, all_sources_payments(&g1, ap));
+        assert_eq!(*got, all_sources_payments(&g1, ap));
         // A further identity epoch reuses the warm tables.
         let got2 = e.price_epoch_mapped(&g1, ap, &NodeMap::identity(4));
         assert_eq!(e.last_outcome(), EpochOutcome::Reused);
@@ -1830,7 +1854,7 @@ mod tests {
         let g1 = units(&[(0, 1), (1, 2)], &[0, 4, 5]);
         let got = e.price_epoch_mapped(&g1, ap, &NodeMap::join(2, 1));
         assert!(matches!(e.last_outcome(), EpochOutcome::Fallback { .. }));
-        assert_eq!(got, all_sources_payments(&g1, ap));
+        assert_eq!(*got, all_sources_payments(&g1, ap));
     }
 
     #[test]
@@ -1842,7 +1866,7 @@ mod tests {
         let g1 = units(&[(0, 1)], &[0, 4]);
         let got = e.price_epoch_mapped(&g1, NodeId(0), &NodeMap::leave_swap(3, NodeId(2)));
         assert_eq!(e.last_outcome(), EpochOutcome::Cold);
-        assert_eq!(got, all_sources_payments(&g1, NodeId(0)));
+        assert_eq!(*got, all_sources_payments(&g1, NodeId(0)));
     }
 
     #[test]

@@ -25,16 +25,16 @@ fn node_count_change_reports_cold_resize() {
     let e2 = e0.clone();
 
     let mut engine = IncrementalEngine::with_threads(1);
-    assert_eq!(engine.price_epoch(&e0, ap), all_sources_payments(&e0, ap));
+    assert_eq!(*engine.price_epoch(&e0, ap), all_sources_payments(&e0, ap));
     assert_eq!(engine.last_outcome(), EpochOutcome::Cold);
 
-    assert_eq!(engine.price_epoch(&e1, ap), all_sources_payments(&e1, ap));
+    assert_eq!(*engine.price_epoch(&e1, ap), all_sources_payments(&e1, ap));
     assert_eq!(
         engine.last_outcome(),
         EpochOutcome::ColdResize { from: 4, to: 5 }
     );
 
-    assert_eq!(engine.price_epoch(&e2, ap), all_sources_payments(&e2, ap));
+    assert_eq!(*engine.price_epoch(&e2, ap), all_sources_payments(&e2, ap));
     assert_eq!(
         engine.last_outcome(),
         EpochOutcome::ColdResize { from: 5, to: 4 }
@@ -42,7 +42,7 @@ fn node_count_change_reports_cold_resize() {
 
     // The engine recovers its incremental footing after a resize: an
     // unchanged follow-up epoch is a zero-cost reuse.
-    assert_eq!(engine.price_epoch(&e2, ap), all_sources_payments(&e2, ap));
+    assert_eq!(*engine.price_epoch(&e2, ap), all_sources_payments(&e2, ap));
     assert_eq!(engine.last_outcome(), EpochOutcome::Reused);
 
     // An AP change stays plain Cold — resize is specifically churn.
@@ -56,7 +56,7 @@ fn node_count_change_reports_cold_resize() {
     let mut warm = IncrementalEngine::with_threads(1).with_damage_threshold(1.0);
     warm.price_epoch(&e0, ap);
     assert_eq!(
-        warm.price_epoch_mapped(&e1, ap, &NodeMap::join(4, 1)),
+        *warm.price_epoch_mapped(&e1, ap, &NodeMap::join(4, 1)),
         all_sources_payments(&e1, ap)
     );
     assert!(
@@ -78,7 +78,7 @@ fn node_count_change_reports_cold_resize() {
     let mut strict = IncrementalEngine::with_threads(1).with_damage_threshold(0.0);
     strict.price_epoch(&e0, ap);
     assert_eq!(
-        strict.price_epoch_mapped(&e1, ap, &NodeMap::join(4, 1)),
+        *strict.price_epoch_mapped(&e1, ap, &NodeMap::join(4, 1)),
         all_sources_payments(&e1, ap)
     );
     assert!(

@@ -61,13 +61,13 @@ fn repriced_sources_emit_cold_identical_audits() {
 
     let mut engine = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
     for (epoch, g) in graphs.iter().enumerate() {
-        let mut got = Vec::new();
+        let mut got = Default::default();
         let warm = capture(|| got = engine.price_epoch(g, ap));
         let mut expected = Vec::new();
         let cold = capture(|| {
             expected = AllSourcesEngine::with_threads(2).price_all_sources(g, ap);
         });
-        assert_eq!(got, expected, "payments diverged at epoch {epoch}");
+        assert_eq!(*got, expected, "payments diverged at epoch {epoch}");
 
         let outcome = engine.last_outcome();
         // Whatever the warm engine audited must match cold record for

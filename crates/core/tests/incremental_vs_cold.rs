@@ -145,7 +145,7 @@ fn check_trace(
         let expected = cold.price_all_sources(g, ap);
         let outcome = engine.last_outcome();
         prop_assert_eq!(
-            &got,
+            &*got,
             &expected,
             "payments diverged: epoch={} outcome={:?}",
             epoch,
@@ -267,7 +267,7 @@ fn tie_ambiguity_flip_stays_exact() {
     for (epoch, g) in graphs.iter().enumerate() {
         let got = engine.price_epoch(g, ap);
         let expected = AllSourcesEngine::with_threads(2).price_all_sources(g, ap);
-        assert_eq!(got, expected, "epoch {epoch}");
+        assert_eq!(*got, expected, "epoch {epoch}");
         if epoch > 0 {
             assert!(
                 matches!(engine.last_outcome(), EpochOutcome::Repaired { .. }),
@@ -309,7 +309,7 @@ fn ap_disconnect_and_reconnect_stays_exact() {
     for (epoch, g) in graphs.iter().enumerate() {
         let got = engine.price_epoch(g, ap);
         let expected = AllSourcesEngine::with_threads(2).price_all_sources(g, ap);
-        assert_eq!(got, expected, "epoch {epoch}");
+        assert_eq!(*got, expected, "epoch {epoch}");
     }
     assert!(
         matches!(engine.last_outcome(), EpochOutcome::Repaired { .. }),

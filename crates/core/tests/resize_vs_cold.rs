@@ -260,7 +260,7 @@ fn check_trace(steps: &[Step], mut engine: IncrementalEngine) -> Result<Vec<Epoc
         let expected = cold.price_all_sources(&s.graph, s.ap);
         let outcome = engine.last_outcome();
         prop_assert_eq!(
-            &got,
+            &*got,
             &expected,
             "payments diverged: epoch={} outcome={:?}",
             epoch,
@@ -407,7 +407,7 @@ fn ap_renumbered_by_leave_swap_stays_warm() {
         e.last_outcome()
     );
     assert_eq!(
-        got,
+        *got,
         AllSourcesEngine::with_threads(2).price_all_sources(&g1, ap1)
     );
 }
@@ -440,7 +440,7 @@ fn chained_newborns_settle_through_decrease_seeds() {
         e.last_outcome()
     );
     let expected = AllSourcesEngine::with_threads(2).price_all_sources(&g1, ap);
-    assert_eq!(got, expected);
+    assert_eq!(*got, expected);
     // Node 2's route must actually have improved through the chain.
     assert_eq!(
         e.tables().0[2],

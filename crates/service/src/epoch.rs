@@ -1,15 +1,19 @@
-//! Epoch-swapped pricing snapshots: the publication cell every shard
-//! serves from.
+//! The epoch-swapped pricing snapshot: the one publication cell the
+//! whole service serves from.
 //!
 //! The serving layer's core concurrency problem is that pricing tables
 //! are rebuilt every mobility epoch while the front-end keeps serving.
 //! The classic answer is read-copy-update: readers price against an
-//! immutable, reference-counted snapshot; the re-warmer builds the next
+//! immutable, reference-counted snapshot; the epoch loop builds the next
 //! epoch's snapshot *off to the side* and publishes it with a single
 //! pointer exchange. Readers that raced the swap drain naturally — they
 //! hold an [`Arc`] to the retired snapshot, which is freed when the last
 //! of them finishes — and every settlement carries the snapshot's
 //! generation stamp so staleness is visible, never silent.
+//!
+//! One [`ServiceSnapshot`] holds all k access points' tables for one
+//! epoch, so a reader that loads it sees k tables over the same node
+//! set and the same generation: there is nothing to reconcile.
 //!
 //! The cell is structurally non-blocking for readers without `unsafe`:
 //! two slots, each behind a [`RwLock`], plus an atomic generation. The
@@ -19,19 +23,18 @@
 //! generation names can never collide with the writer. Readers never
 //! collide with each other either — read locks are shared. The only way
 //! `try_read` can fail is a reader that stalled between loading the
-//! generation and touching the slot for so long that a *later* epoch's
-//! writer reclaimed that slot; the retry loop re-loads the generation
-//! and lands on the fresh slot. A reader that somehow exhausts the spin
-//! budget yields and counts itself under
-//! `service.epoch.blocked_readers` — the counter the epoch-swap
-//! acceptance test pins at zero.
+//! generation and touching the slot for so long that the writer came
+//! back for that slot; the retry loop re-loads the generation and lands
+//! on the fresh slot. A reader that somehow exhausts the spin budget
+//! yields and counts itself under `service.epoch.blocked_readers` — the
+//! counter the epoch-swap acceptance test pins at zero.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, TryLockError};
 
 use truthcast_core::delta::EpochOutcome;
 use truthcast_core::UnicastPricing;
-use truthcast_graph::{Cost, NodeId};
+use truthcast_graph::NodeId;
 
 /// Spin attempts before a reader declares itself blocked and yields.
 const SPIN_BUDGET: u32 = 128;
@@ -39,21 +42,11 @@ const SPIN_BUDGET: u32 = 128;
 /// One access point's immutable pricing state for one epoch: every
 /// source's unicast pricing toward this AP, pre-computed by the shard's
 /// warm [`IncrementalEngine`] and shared read-only with every front-end
-/// worker.
+/// worker. Cloning it is cheap: the table is behind an [`Arc`].
 ///
 /// [`IncrementalEngine`]: truthcast_core::delta::IncrementalEngine
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ApSnapshot {
-    /// Swap count of the owning cell when this snapshot was published
-    /// (1 = the service's initial warm-up epoch).
-    pub generation: u64,
-    /// The service-wide node-identity epoch this snapshot was priced
-    /// over (1 = the initial node set). Bumped by every resize — mapped
-    /// or cold — so the batch front-end can tell which snapshots share
-    /// an index *space*, not just an epoch count: mixing snapshots from
-    /// different node epochs would price one source index against two
-    /// different physical nodes.
-    pub node_epoch: u64,
     /// The access point this snapshot prices toward.
     pub ap: NodeId,
     /// The owning shard's index in the service's AP list — the anycast
@@ -64,45 +57,48 @@ pub struct ApSnapshot {
     pub outcome: EpochOutcome,
     /// `pricing[v]` is source `v`'s pricing toward [`ApSnapshot::ap`],
     /// bit-identical to `all_sources_payments(g, ap)[v]`; `None` for the
-    /// AP itself and unreachable sources.
-    pub pricing: Vec<Option<UnicastPricing>>,
+    /// AP itself and unreachable sources. Shared with the shard's engine:
+    /// an epoch that changed nothing for this AP publishes the same
+    /// table again.
+    pub pricing: Arc<Vec<Option<UnicastPricing>>>,
 }
 
-impl ApSnapshot {
-    /// The declared least-cost-path cost from `v` to this AP — the
-    /// anycast settlement key. `None` if `v` cannot reach this AP (or
-    /// lies outside this epoch's node set after a resize).
-    pub fn lcp_of(&self, v: NodeId) -> Option<Cost> {
-        self.pricing.get(v.index())?.as_ref().map(|p| p.lcp_cost)
-    }
-
-    /// Number of nodes in the epoch this snapshot was priced over.
-    pub fn num_nodes(&self) -> usize {
-        self.pricing.len()
-    }
+/// Every access point's tables for one epoch, published together.
+#[derive(Debug)]
+pub struct ServiceSnapshot {
+    /// Publications so far, this one included (1 = the service's
+    /// set-up epoch).
+    pub generation: u64,
+    /// One snapshot per shard, in AP-list order.
+    pub aps: Vec<ApSnapshot>,
 }
 
-/// The generation-stamped publication point between one shard's epoch
+/// The generation-stamped publication point between the service's epoch
 /// loop (single writer) and every front-end worker (many readers). See
 /// the module docs for the non-blocking protocol.
 pub struct EpochCell {
     generation: AtomicU64,
-    slots: [RwLock<Arc<ApSnapshot>>; 2],
+    slots: [RwLock<Arc<ServiceSnapshot>>; 2],
 }
 
 impl EpochCell {
-    /// A cell holding `initial` as generation `initial.generation` in
-    /// both slots, so [`EpochCell::read`] never observes an empty cell.
-    pub fn new(initial: Arc<ApSnapshot>) -> EpochCell {
+    /// An empty cell at generation 0. The service publishes its set-up
+    /// epoch (generation 1) before it hands out a reference, so no
+    /// reader observes the empty snapshot.
+    pub(crate) fn new() -> EpochCell {
+        let empty = Arc::new(ServiceSnapshot {
+            generation: 0,
+            aps: Vec::new(),
+        });
         EpochCell {
-            generation: AtomicU64::new(initial.generation),
-            slots: [RwLock::new(initial.clone()), RwLock::new(initial)],
+            generation: AtomicU64::new(0),
+            slots: [RwLock::new(empty.clone()), RwLock::new(empty)],
         }
     }
 
     /// The generation of the most recently published snapshot. One
-    /// relaxed-ish atomic load — callers poll this to skip a re-read
-    /// when nothing swapped.
+    /// atomic load — callers poll this to skip a re-read when nothing
+    /// swapped.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
@@ -111,8 +107,8 @@ impl EpochCell {
     /// progress: the writer never holds the active slot's lock, and
     /// read locks are shared between readers (see module docs). A reader
     /// that raced a swap may get the snapshot one generation behind the
-    /// freshest — a complete, consistent table either way.
-    pub fn read(&self) -> Arc<ApSnapshot> {
+    /// freshest — a complete, consistent set of tables either way.
+    pub fn read(&self) -> Arc<ServiceSnapshot> {
         let mut spins = 0u32;
         let snap = loop {
             let gen = self.generation.load(Ordering::Acquire);
@@ -138,28 +134,58 @@ impl EpochCell {
         snap
     }
 
-    /// Publishes `next` as the new current snapshot and returns its
-    /// generation. `next` is taken by value so the cell can stamp its
-    /// `generation` field before it is ever shared — every settlement
-    /// carries the generation it was priced under. The snapshot is
-    /// written into the inactive slot and the write lock released, then
-    /// the generation bump makes it visible — the pointer exchange is
-    /// the entire reader-visible critical section.
+    /// Points the inactive slot at the current snapshot, releasing the
+    /// previous generation (once its last reader finishes) before the
+    /// next one is priced: at most two generations of tables are ever
+    /// alive, the published one and the one being built.
+    pub(crate) fn retire_inactive(&self) {
+        let gen = self.generation.load(Ordering::Acquire);
+        let current = self.slots[(gen & 1) as usize]
+            .read()
+            .unwrap_or_else(|p| p.into_inner())
+            .clone();
+        *self.slots[((gen + 1) & 1) as usize]
+            .write()
+            .unwrap_or_else(|p| p.into_inner()) = current;
+    }
+
+    /// Publishes `aps` as the next generation and returns it. The
+    /// snapshot is written into the inactive slot and the write lock
+    /// released, then the generation bump makes it visible — the pointer
+    /// exchange is the entire reader-visible critical section.
     ///
-    /// Single-writer: only the owning shard's epoch loop calls this
-    /// (structurally enforced — the caller holds the shard's engine
-    /// lock); two racing publishers could otherwise write the same slot.
-    pub(crate) fn publish(&self, mut next: ApSnapshot) -> u64 {
-        let gen = self.generation.load(Ordering::Acquire) + 1;
-        next.generation = gen;
-        let next = Arc::new(next);
-        match self.slots[(gen & 1) as usize].write() {
-            Ok(mut s) => *s = next,
-            Err(p) => *p.into_inner() = next,
-        }
-        self.generation.store(gen, Ordering::Release);
+    /// Single-writer: the caller holds the service's epoch lock; two
+    /// racing publishers could otherwise write the same slot.
+    pub(crate) fn publish(&self, aps: Vec<ApSnapshot>) -> u64 {
+        let generation = self.generation.load(Ordering::Acquire) + 1;
+        let next = Arc::new(ServiceSnapshot { generation, aps });
+        *self.slots[(generation & 1) as usize]
+            .write()
+            .unwrap_or_else(|p| p.into_inner()) = next;
+        self.generation.store(generation, Ordering::Release);
         truthcast_obs::add("service.epoch.swaps", 1);
-        gen
+        generation
+    }
+}
+
+/// One access point's view of the service's [`EpochCell`], as handed out
+/// by [`Shard::cell`](crate::Shard::cell).
+pub struct ApCell<'a> {
+    pub(crate) cell: &'a EpochCell,
+    pub(crate) index: usize,
+}
+
+impl ApCell<'_> {
+    /// The service's current generation.
+    pub fn generation(&self) -> u64 {
+        self.cell.generation()
+    }
+
+    /// This access point's table in the current snapshot. For a
+    /// consistent view of several access points, read the cell once
+    /// through [`PaymentService::snapshot`](crate::PaymentService::snapshot).
+    pub fn read(&self) -> ApSnapshot {
+        self.cell.read().aps[self.index].clone()
     }
 }
 
@@ -167,49 +193,45 @@ impl EpochCell {
 mod tests {
     use super::*;
 
-    fn snap(generation: u64, ap: NodeId) -> ApSnapshot {
-        ApSnapshot {
-            generation,
-            node_epoch: 1,
-            ap,
+    fn aps() -> Vec<ApSnapshot> {
+        vec![ApSnapshot {
+            ap: NodeId(0),
             ap_index: 0,
             outcome: EpochOutcome::Cold,
-            pricing: vec![None, None],
-        }
+            pricing: Arc::new(vec![None, None]),
+        }]
     }
 
     #[test]
     fn read_returns_latest_published() {
-        let cell = EpochCell::new(Arc::new(snap(1, NodeId(0))));
-        assert_eq!(cell.generation(), 1);
-        assert_eq!(cell.read().generation, 1);
-        let g = cell.publish(snap(0, NodeId(0)));
-        assert_eq!(g, 2);
-        assert_eq!(cell.generation(), 2);
-        assert_eq!(cell.read().generation, 2);
-        cell.publish(snap(0, NodeId(0)));
-        assert_eq!(cell.read().generation, 3);
+        let cell = EpochCell::new();
+        assert_eq!(cell.generation(), 0);
+        for generation in 1..=3 {
+            assert_eq!(cell.publish(aps()), generation);
+            assert_eq!(cell.generation(), generation);
+            assert_eq!(cell.read().generation, generation);
+        }
+        let view = ApCell {
+            cell: &cell,
+            index: 0,
+        };
+        assert_eq!(view.generation(), 3);
+        assert_eq!(view.read().pricing.len(), 2);
     }
 
     #[test]
     fn retired_snapshots_drain_when_readers_finish() {
-        let cell = EpochCell::new(Arc::new(snap(1, NodeId(0))));
+        let cell = EpochCell::new();
+        cell.publish(aps());
         let held = cell.read();
-        cell.publish(snap(0, NodeId(0)));
-        cell.publish(snap(0, NodeId(0)));
-        // The stale reader still sees a complete generation-1 snapshot.
+        cell.publish(aps());
+        cell.retire_inactive();
+        // The stale reader still sees a complete generation-1 snapshot,
+        // but the cell let go of it: both slots hold generation 2.
         assert_eq!(held.generation, 1);
-        // Both slots now hold newer snapshots; `held` is the last owner
-        // of generation 1.
         assert_eq!(Arc::strong_count(&held), 1);
+        assert_eq!(Arc::strong_count(&cell.read()), 3);
         drop(held);
-        assert_eq!(cell.read().generation, 3);
-    }
-
-    #[test]
-    fn lcp_of_is_bounds_safe() {
-        let s = snap(1, NodeId(0));
-        assert_eq!(s.lcp_of(NodeId(0)), None);
-        assert_eq!(s.lcp_of(NodeId(99)), None);
+        assert_eq!(cell.read().generation, 2);
     }
 }

@@ -17,12 +17,12 @@
 //!   [`EpochOutcome::ColdResize`](truthcast_core::delta::EpochOutcome))
 //!   is reported per shard, never hidden.
 //! - [`epoch::EpochCell`] — the read-copy-update publication point:
-//!   readers price against immutable [`epoch::ApSnapshot`]s; a swap is
-//!   one pointer exchange with a generation stamp; stale readers drain
-//!   on their own schedule.
+//!   each epoch publishes one immutable [`epoch::ServiceSnapshot`] (k
+//!   [`epoch::ApSnapshot`]s, one generation); a swap is one pointer
+//!   exchange; stale readers drain on their own schedule.
 //! - [`service::PaymentService`] — the anycast batch front-end: each
-//!   source prices against every AP snapshot and settles at the
-//!   cheapest (ties to the lowest AP index), bit-identically at any
+//!   source prices against every AP table of one snapshot and settles at
+//!   the cheapest (ties to the lowest AP index), bit-identically at any
 //!   thread count.
 //! - [`loadgen`] — the seeded open/closed-loop generator that drives
 //!   million-session runs and reports exact p50/p95/p99 latency.
@@ -38,7 +38,7 @@ pub mod loadgen;
 pub mod service;
 pub mod shard;
 
-pub use epoch::{ApSnapshot, EpochCell};
+pub use epoch::{ApCell, ApSnapshot, EpochCell, ServiceSnapshot};
 pub use loadgen::{run_load, ArrivalMode, LoadConfig, LoadReport};
 pub use service::{PaymentService, ServeOutcome, ServiceConfig, Settlement};
 pub use shard::Shard;

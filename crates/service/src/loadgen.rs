@@ -115,9 +115,11 @@ pub struct LoadReport {
     pub serve_ns: u64,
     /// Settled sessions per wall-clock second of serving.
     pub sessions_per_sec: f64,
-    /// Per-session latency sketch, in nanoseconds. Open loop: the round
-    /// cost attributed per session. Closed loop: first-offer to
-    /// admission, so retries accumulate.
+    /// Per-session latency sketch, in nanoseconds: offer to settlement.
+    /// A session waits for its whole batch, so each settled session
+    /// records its batch's full `serve_batch` time. Closed loop: a shed
+    /// session's retries add their batches' times too, so the tail
+    /// shows backpressure.
     pub latency: QuantileSketch,
     /// True if a closed-loop run was truncated after [`STALL_ROUNDS`]
     /// consecutive rounds with zero settlements (no session could ever
@@ -190,14 +192,12 @@ fn run_open(service: &PaymentService, sources: &[NodeId], cfg: &LoadConfig) -> L
         let dt = t0.elapsed().as_nanos() as u64;
         serve_ns += dt;
         rounds += 1;
-        // Open loop has no per-session queueing: each session in the
-        // round experienced the round's serving cost.
-        let per_session = dt / want.max(1) as u64;
+        // Every session in the batch settles when the batch returns.
         for o in &outcomes {
             match o {
                 ServeOutcome::Settled(_) => {
                     settled += 1;
-                    latency.record(per_session);
+                    latency.record(dt);
                 }
                 ServeOutcome::Shed { .. } => shed += 1,
                 ServeOutcome::Unreachable => unreachable += 1,
@@ -251,21 +251,20 @@ fn run_closed(
         serve_ns += dt;
         rounds += 1;
         offered += batch.len() as u64;
-        let per_session = dt / batch.len().max(1) as u64;
         next.clear();
         for (i, o) in outcomes.iter().enumerate() {
             let (src, waited) = pending[i];
             match o {
                 ServeOutcome::Settled(_) => {
                     settled += 1;
-                    latency.record(waited + per_session);
+                    latency.record(waited + dt);
                     // The user opens a fresh session next round.
                     next.push((sources[rng.gen_range(0..sources.len())], 0));
                 }
                 ServeOutcome::Shed { .. } => {
                     shed += 1;
                     // Same session retries; its clock keeps running.
-                    next.push((src, waited + per_session));
+                    next.push((src, waited + dt));
                 }
                 ServeOutcome::Unreachable => {
                     unreachable += 1;
@@ -327,6 +326,22 @@ mod tests {
         assert_eq!(report.rounds, STALL_ROUNDS);
         assert_eq!(report.shed, STALL_ROUNDS * 2);
         assert!(report.summary().ends_with("STALLED"));
+    }
+
+    #[test]
+    fn each_session_waits_for_its_whole_batch() {
+        let g = NodeWeightedGraph::from_pairs_units(&[(0, 1), (1, 2)], &[0, 2, 3]);
+        let cfg = ServiceConfig::new(vec![NodeId(0)]).threads(1);
+        let service = PaymentService::new(&cfg, &g);
+        // One round of 8 sessions: every latency is that round's time.
+        let report = run_load(
+            &service,
+            &[NodeId(1), NodeId(2)],
+            &LoadConfig::open(7, 8, 8),
+        );
+        assert_eq!((report.rounds, report.settled), (1, 8));
+        assert_eq!(report.latency.quantile(0.0), Some(report.serve_ns));
+        assert_eq!(report.latency.quantile(1.0), Some(report.serve_ns));
     }
 
     #[test]

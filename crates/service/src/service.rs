@@ -1,12 +1,15 @@
 //! The multi-tenant front-end: anycast session admission over k per-AP
 //! shards.
 //!
-//! [`PaymentService::serve_batch`] is the hot path. It reads every
-//! shard's current snapshot **once** per batch — amortizing the k cell
-//! reads over the whole batch and, more importantly, pinning the batch
-//! to one consistent set of generations so a swap landing mid-batch
+//! [`PaymentService::begin_epoch`] prices all k shards first and then
+//! publishes their tables together as one [`ServiceSnapshot`]: one
+//! publication, one generation per epoch. [`PaymentService::serve_batch`]
+//! is the hot path. It reads that snapshot **once** per batch —
+//! amortizing the cell read over the whole batch and, more importantly,
+//! pinning the batch to one generation so a swap landing mid-batch
 //! cannot make two sessions from the same batch price against different
-//! epochs. Pricing is then a pure function of (sources, snapshots):
+//! epochs, and no session is ever priced against two index spaces.
+//! Pricing is then a pure function of (sources, snapshot):
 //! [`truthcast_rt::par_map`] fans the argmin over the front-end workers
 //! and collects results in index order, so the settled prices are
 //! bit-identical at any thread count — the same invariant every engine
@@ -17,22 +20,21 @@
 //! batch, never on worker scheduling.
 //!
 //! Anycast settlement: a session from source `v` considers every AP
-//! whose snapshot can price `v` and settles at the one with the
-//! cheapest declared least-cost-path cost, breaking exact-cost ties
-//! toward the lowest AP index. This is exactly
+//! whose table can price `v` and settles at the one with the cheapest
+//! declared least-cost-path cost, breaking exact-cost ties toward the
+//! lowest AP index. This is exactly
 //! `argmin_k all_sources_payments(g, ap_k)[v]` — the differential
 //! battery in `tests/service_vs_library.rs` holds the service to that
 //! oracle bit-for-bit.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use truthcast_core::delta::EpochOutcome;
 use truthcast_core::UnicastPricing;
 use truthcast_graph::{NodeId, NodeMap, NodeWeightedGraph, QueueKind};
 use truthcast_rt::{default_threads, par_map};
 
-use crate::epoch::ApSnapshot;
+use crate::epoch::{ApSnapshot, EpochCell, ServiceSnapshot};
 use crate::shard::Shard;
 
 /// Configuration for a [`PaymentService`].
@@ -143,24 +145,20 @@ impl ServeOutcome {
 /// protocol and [`crate::epoch`] for the swap protocol.
 pub struct PaymentService {
     shards: Vec<Shard>,
+    /// The one publication point: every epoch's k tables, together.
+    cell: Arc<EpochCell>,
+    /// Held from pricing through publication, so the cell has a single
+    /// writer and concurrent `begin_epoch` calls run one after another.
+    epoch_lock: Mutex<()>,
     threads: usize,
-    /// Monotone stamp of the node *identity space*. Bumped by every
-    /// resize epoch — a non-identity [`NodeMap`], or a node-count change
-    /// under the unmapped `begin_epoch` — and stamped into every
-    /// snapshot, so `serve_batch` can refuse to mix snapshots whose
-    /// indices name different physical nodes.
-    node_epoch: AtomicU64,
-    /// Node count of the most recent epoch graph, to detect unmapped
-    /// resizes.
-    last_nodes: AtomicUsize,
 }
 
 impl PaymentService {
-    /// Builds the service and warms every shard's generation-1 snapshot
-    /// from `g0`. Also registers the service's counters with
-    /// [`truthcast_obs`] so `summary_table` reports zeros for events
-    /// that never fired (a shed counter that prints `0` is evidence of
-    /// headroom; one that is absent is evidence of nothing).
+    /// Builds the service and publishes generation 1, priced from `g0`.
+    /// Also registers the service's counters with [`truthcast_obs`] so
+    /// `summary_table` reports zeros for events that never fired (a shed
+    /// counter that prints `0` is evidence of headroom; one that is
+    /// absent is evidence of nothing).
     ///
     /// # Panics
     /// If `cfg.aps` is empty, contains a duplicate, or names a node
@@ -187,7 +185,6 @@ impl PaymentService {
             "service.epoch.reader_retries",
             "service.epoch.cold_resizes",
             "service.epoch.warm_resizes",
-            "service.epoch.stale_snapshots",
             "service.queue.drained",
             "service.load.stalls",
         ] {
@@ -199,6 +196,7 @@ impl PaymentService {
         // engine's output is thread-count independent (the project
         // invariant), so the split never changes a price.
         let warm_threads = (cfg.threads.max(1) / cfg.aps.len()).max(1);
+        let cell = Arc::new(EpochCell::new());
         let shards = cfg
             .aps
             .iter()
@@ -211,16 +209,18 @@ impl PaymentService {
                     cfg.kind,
                     cfg.damage_threshold,
                     cfg.queue_capacity,
-                    g0,
+                    Arc::clone(&cell),
                 )
             })
             .collect();
-        PaymentService {
+        let service = PaymentService {
             shards,
+            cell,
+            epoch_lock: Mutex::new(()),
             threads: cfg.threads.max(1),
-            node_epoch: AtomicU64::new(1),
-            last_nodes: AtomicUsize::new(g0.num_nodes()),
-        }
+        };
+        service.advance(g0, None);
+        service
     }
 
     /// The per-AP shards, in AP-list order.
@@ -234,17 +234,17 @@ impl PaymentService {
     }
 
     /// Advances every shard to the epoch graph `g`: each shard re-warms
-    /// its tables and publishes a new snapshot. Shards warm in parallel
-    /// across the worker pool; each shard's engine was built with
-    /// `threads / k` workers (floor, min 1), so the total never exceeds
-    /// the configured budget — with k ≥ threads every warm runs
-    /// single-threaded and the whole budget goes to the fan-out.
-    /// Serving continues throughout: `&self`, and readers never
-    /// block on a swap.
+    /// its table, then all k tables are published together as the next
+    /// generation. Shards warm in parallel across the worker pool; each
+    /// shard's engine was built with `threads / k` workers (floor, min
+    /// 1), so the total never exceeds the configured budget — with
+    /// k ≥ threads every warm runs single-threaded and the whole budget
+    /// goes to the fan-out. Serving continues throughout: `&self`, and
+    /// readers never block on a swap.
     ///
     /// Returns each shard's [`EpochOutcome`], in shard order.
     pub fn begin_epoch(&self, g: &NodeWeightedGraph) -> Vec<EpochOutcome> {
-        self.begin_epoch_inner(g, None)
+        self.advance(g, None)
     }
 
     /// Advances every shard to the epoch graph `g` *through churn*: the
@@ -253,15 +253,15 @@ impl PaymentService {
     /// join/leave instead of re-warming cold
     /// ([`EpochOutcome::WarmResize`] instead of
     /// [`EpochOutcome::ColdResize`], bit-identical tables either way).
-    /// A non-identity map bumps the service's node epoch, which
-    /// `serve_batch` uses to keep in-flight batches from mixing
-    /// snapshots across the identity swap.
     ///
     /// # Panics
     /// If any shard's AP does not keep its index under `map` — APs are
     /// the service's fixed infrastructure; churn is for the client node
     /// population. (Encode AP-preserving renumberings accordingly, e.g.
     /// keep APs in the low indices so `leave_swap` never moves them.)
+    /// Also if the map's lengths do not match `g` and the previous
+    /// epoch. A panic publishes nothing: the service keeps serving the
+    /// previous generation.
     pub fn begin_epoch_mapped(&self, g: &NodeWeightedGraph, map: &NodeMap) -> Vec<EpochOutcome> {
         for s in &self.shards {
             assert_eq!(
@@ -271,32 +271,32 @@ impl PaymentService {
                 s.ap
             );
         }
-        self.begin_epoch_inner(g, Some(map))
+        self.advance(g, Some(map))
     }
 
-    fn begin_epoch_inner(&self, g: &NodeWeightedGraph, map: Option<&NodeMap>) -> Vec<EpochOutcome> {
+    /// Prices all k shards for `g`, then publishes their tables as one
+    /// generation. Nothing is published until every shard has priced.
+    fn advance(&self, g: &NodeWeightedGraph, map: Option<&NodeMap>) -> Vec<EpochOutcome> {
         let _span = truthcast_obs::span("service.begin_epoch");
-        let count_changed = self.last_nodes.swap(g.num_nodes(), Ordering::AcqRel) != g.num_nodes();
-        let resized = count_changed || map.is_some_and(|m| !m.is_identity());
-        let node_epoch = if resized {
-            self.node_epoch.fetch_add(1, Ordering::AcqRel) + 1
-        } else {
-            self.node_epoch.load(Ordering::Acquire)
-        };
+        let _writer = self.epoch_lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.cell.retire_inactive();
         let k = self.shards.len();
-        par_map(k, self.threads.min(k), |i| {
-            self.shards[i].begin_epoch(g, map, node_epoch).1
-        })
+        let aps = par_map(k, self.threads.min(k), |i| {
+            self.shards[i].price_epoch(g, map)
+        });
+        let outcomes = aps.iter().map(|a| a.outcome).collect();
+        self.cell.publish(aps);
+        outcomes
     }
 
-    /// Lowest published generation across shards — the epoch the whole
-    /// service has reached.
+    /// The published generation: 1 after set-up, plus one per epoch.
     pub fn generation(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.cell().generation())
-            .min()
-            .unwrap_or(0)
+        self.cell.generation()
+    }
+
+    /// The current snapshot: all k tables of the published generation.
+    pub fn snapshot(&self) -> Arc<ServiceSnapshot> {
+        self.cell.read()
     }
 
     /// Prices and admits a batch of sessions; `out[i]` is session `i`'s
@@ -304,39 +304,10 @@ impl PaymentService {
     pub fn serve_batch(&self, sources: &[NodeId]) -> Vec<ServeOutcome> {
         let _span = truthcast_obs::span("service.serve_batch");
         truthcast_obs::add("service.sessions.offered", sources.len() as u64);
-        // One consistent set of snapshots for the whole batch.
-        let mut snaps: Vec<Arc<ApSnapshot>> = self.shards.iter().map(|s| s.cell().read()).collect();
-        // Resize-swap consistency: if the k reads straddled a resize,
-        // some snapshots index the old node space and some the new — a
-        // source index would name two different physical nodes, and the
-        // anycast argmin would compare prices across incompatible
-        // worlds. A lagging shard means its publish for the current
-        // node epoch is still in flight (the epoch driver publishes
-        // every shard each epoch), so re-read laggards until the set
-        // agrees; each re-read round counts under
-        // `service.epoch.stale_snapshots`. Mixed *generations* within
-        // one node epoch remain fine — same index space.
-        let mut rounds = 0u32;
-        loop {
-            let node_epoch = snaps.iter().map(|s| s.node_epoch).max().unwrap_or(0);
-            if snaps.iter().all(|s| s.node_epoch == node_epoch) {
-                break;
-            }
-            truthcast_obs::add("service.epoch.stale_snapshots", 1);
-            rounds += 1;
-            if rounds > 64 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-            for (i, shard) in self.shards.iter().enumerate() {
-                if snaps[i].node_epoch < node_epoch {
-                    snaps[i] = shard.cell().read();
-                }
-            }
-        }
+        // One snapshot for the whole batch: one generation, one node set.
+        let snap = self.cell.read();
         let priced = par_map(sources.len(), self.threads, |i| {
-            settle_one(sources[i], &snaps)
+            settle_one(sources[i], &snap.aps)
         });
         let mut out = Vec::with_capacity(priced.len());
         for (i, won) in priced.into_iter().enumerate() {
@@ -346,11 +317,10 @@ impl PaymentService {
                     ServeOutcome::Unreachable
                 }
                 Some((ap_index, pricing)) => {
-                    let snap = &snaps[ap_index];
                     let s = Settlement {
                         source: sources[i],
                         ap_index,
-                        ap: snap.ap,
+                        ap: snap.aps[ap_index].ap,
                         generation: snap.generation,
                         pricing,
                     };
@@ -376,15 +346,15 @@ impl PaymentService {
     }
 }
 
-/// The anycast argmin: cheapest declared LCP cost across the k
-/// snapshots, exact-cost ties broken toward the lowest AP index (strict
-/// `<` while scanning in index order). The caller hands over a set that
-/// agrees on the node epoch, so every snapshot's indices name the same
-/// physical nodes. Pure — no locks, no atomics on the decision path —
-/// so the batch fan-out stays bit-deterministic.
-fn settle_one(source: NodeId, snaps: &[Arc<ApSnapshot>]) -> Option<(usize, UnicastPricing)> {
+/// The anycast argmin: cheapest declared LCP cost across the k tables,
+/// exact-cost ties broken toward the lowest AP index (strict `<` while
+/// scanning in index order). The k tables come from one snapshot, so
+/// every index names the same physical node in all of them. Pure — no
+/// locks, no atomics on the decision path — so the batch fan-out stays
+/// bit-deterministic.
+fn settle_one(source: NodeId, aps: &[ApSnapshot]) -> Option<(usize, UnicastPricing)> {
     let mut best: Option<(usize, &UnicastPricing)> = None;
-    for (i, snap) in snaps.iter().enumerate() {
+    for (i, snap) in aps.iter().enumerate() {
         let Some(p) = snap.pricing.get(source.index()).and_then(Option::as_ref) else {
             continue;
         };

@@ -1,13 +1,13 @@
 //! Per-AP engine shards: one warm [`IncrementalEngine`] per access
-//! point, publishing epoch snapshots into an [`EpochCell`] and admitting
-//! settled sessions through a bounded queue.
+//! point, pricing that AP's table each epoch and admitting settled
+//! sessions through a bounded queue.
 //!
 //! A shard owns everything that is mutable about one access point — the
 //! delta engine (warm distance tables, detour rows, previous-epoch
 //! graph) and the admission queue — behind coarse mutexes the serving
-//! hot path never touches. Front-end workers only ever see the shard
-//! through its [`EpochCell`], so re-warming one AP's tables never stalls
-//! pricing against any AP, including its own.
+//! hot path never touches. Front-end workers only ever see the shard's
+//! tables through the service's [`EpochCell`], so re-warming one AP's
+//! tables never stalls pricing against any AP, including its own.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,11 +16,11 @@ use std::sync::{Arc, Mutex};
 use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
 use truthcast_graph::{NodeId, NodeMap, NodeWeightedGraph, QueueKind};
 
-use crate::epoch::{ApSnapshot, EpochCell};
+use crate::epoch::{ApCell, ApSnapshot, EpochCell};
 use crate::service::Settlement;
 
-/// One access point's serving state: the epoch engine, the publication
-/// cell, and the bounded admission queue.
+/// One access point's serving state: the epoch engine and the bounded
+/// admission queue.
 pub struct Shard {
     /// The access point this shard prices toward.
     pub ap: NodeId,
@@ -28,10 +28,10 @@ pub struct Shard {
     /// tie-break key, stamped into every snapshot.
     pub index: usize,
     /// The delta engine that re-warms this AP's tables each epoch.
-    /// Locked only by `begin_epoch`; the serving path reads `cell`.
+    /// Locked only by the epoch loop; the serving path reads `cell`.
     engine: Mutex<IncrementalEngine>,
-    /// The published snapshot readers price against.
-    cell: EpochCell,
+    /// The service's publication cell, shared by every shard.
+    cell: Arc<EpochCell>,
     /// Admitted-but-undrained settlements, bounded by `capacity`.
     queue: Mutex<VecDeque<Settlement>>,
     capacity: usize,
@@ -45,8 +45,7 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Builds the shard and warms generation 1 from `g0` synchronously,
-    /// so the cell never holds an empty snapshot.
+    /// Builds a cold shard; its first [`Shard::price_epoch`] warms it.
     pub(crate) fn new(
         ap: NodeId,
         index: usize,
@@ -54,22 +53,12 @@ impl Shard {
         kind: QueueKind,
         damage_threshold: Option<f64>,
         capacity: usize,
-        g0: &NodeWeightedGraph,
+        cell: Arc<EpochCell>,
     ) -> Shard {
         let mut engine = IncrementalEngine::with_queue(threads, kind);
         if let Some(t) = damage_threshold {
             engine.set_damage_threshold(t);
         }
-        let pricing = engine.price_epoch(g0, ap);
-        let outcome = engine.last_outcome();
-        let cell = EpochCell::new(Arc::new(ApSnapshot {
-            generation: 1,
-            node_epoch: 1,
-            ap,
-            ap_index: index,
-            outcome,
-            pricing,
-        }));
         Shard {
             ap,
             index,
@@ -83,26 +72,19 @@ impl Shard {
         }
     }
 
-    /// The publication cell front-end workers read snapshots from.
-    pub fn cell(&self) -> &EpochCell {
-        &self.cell
+    /// This AP's view of the service's publication cell.
+    pub fn cell(&self) -> ApCell<'_> {
+        ApCell {
+            cell: &self.cell,
+            index: self.index,
+        }
     }
 
-    /// Re-prices this AP for the epoch graph `g` and publishes the new
-    /// snapshot, stamped with the service-wide `node_epoch`. With a
-    /// [`NodeMap`] the engine repairs *through* the churn
-    /// (`price_epoch_mapped`); without one a node-count change re-warms
-    /// cold. Returns `(generation, outcome)`. Holding the engine
-    /// lock across the publish makes the single-writer requirement of
-    /// [`EpochCell::publish`] structural; readers are untouched — they
-    /// keep pricing against the previous snapshot until the pointer
-    /// exchange, and against the new one after.
-    pub(crate) fn begin_epoch(
-        &self,
-        g: &NodeWeightedGraph,
-        map: Option<&NodeMap>,
-        node_epoch: u64,
-    ) -> (u64, EpochOutcome) {
+    /// Prices this AP for the epoch graph `g`, without publishing: the
+    /// service publishes all k tables together. With a [`NodeMap`] the
+    /// engine repairs *through* the churn (`price_epoch_mapped`);
+    /// without one a node-count change re-warms cold.
+    pub(crate) fn price_epoch(&self, g: &NodeWeightedGraph, map: Option<&NodeMap>) -> ApSnapshot {
         let mut engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
         let pricing = match map {
             Some(m) => engine.price_epoch_mapped(g, self.ap, m),
@@ -118,15 +100,12 @@ impl Shard {
             }
             _ => {}
         }
-        let generation = self.cell.publish(ApSnapshot {
-            generation: 0, // stamped by publish
-            node_epoch,
+        ApSnapshot {
             ap: self.ap,
             ap_index: self.index,
             outcome,
             pricing,
-        });
-        (generation, outcome)
+        }
     }
 
     /// Admits a settlement into the bounded queue. Returns `false` (and

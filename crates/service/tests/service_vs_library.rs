@@ -18,11 +18,13 @@
 //! Case count scales with `TRUTHCAST_CASES` (the CI heavy battery sets
 //! it); a failure prints the `TRUTHCAST_SEED` that reproduces it.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use truthcast_core::all_sources_payments;
 use truthcast_core::UnicastPricing;
 use truthcast_graph::generators::{erdos_renyi, pairs_within_range, random_placement};
 use truthcast_graph::geometry::Region;
-use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeWeightedGraph, QueueKind};
+use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeMap, NodeWeightedGraph, QueueKind};
 use truthcast_rt::{bools, cases, forall, prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
 use truthcast_service::{PaymentService, ServeOutcome, ServiceConfig};
 
@@ -205,6 +207,36 @@ fn anycast_stays_exact_across_epochs() {
             service.begin_epoch(&g);
             prop_assert_eq!(service.generation(), epoch, "generation after epoch");
             check_batch(&service, &g, &aps, epoch)?;
+        }
+        Ok(())
+    });
+}
+
+/// An epoch is published whole or not at all: a `begin_epoch_mapped`
+/// whose map does not fit the epoch graph panics in the first shard it
+/// reaches, and the service keeps serving the previous generation,
+/// bit-identical to the oracle, at every thread count. A correct retry
+/// then publishes normally: the shards' engines were left warm.
+#[test]
+fn a_panicking_epoch_publishes_nothing() {
+    forall!(cases(8), (0u64..1 << 48, bools()), |(seed, udg)| {
+        let (g0, aps) = instance(seed, udg, false);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA11);
+        let v = NodeId(rng.gen_range(0..g0.num_nodes() as u32));
+        let g1 = g0.with_declared(v, Cost::from_units(rng.gen_range(0..10)));
+        for threads in THREADS {
+            let cfg = ServiceConfig::new(aps.clone()).threads(threads);
+            let service = PaymentService::new(&cfg, &g0);
+            service.begin_epoch(&g1);
+            // One node too many for g1: every shard's engine rejects it.
+            let bad = NodeMap::join(g1.num_nodes(), 1);
+            let failed = catch_unwind(AssertUnwindSafe(|| service.begin_epoch_mapped(&g1, &bad)));
+            prop_assert!(failed.is_err(), "a mismatched map must panic");
+            prop_assert_eq!(service.generation(), 2, "nothing was published");
+            check_batch(&service, &g1, &aps, 2)?;
+            service.begin_epoch_mapped(&g0, &NodeMap::identity(g0.num_nodes()));
+            prop_assert_eq!(service.generation(), 3, "a correct retry publishes");
+            check_batch(&service, &g0, &aps, 3)?;
         }
         Ok(())
     });

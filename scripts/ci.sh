@@ -11,6 +11,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+# The line above tests the root package only. The service crate's
+# batteries (epoch swaps under concurrent readers, all-or-nothing
+# publication, anycast settlement vs the library) take seconds.
+echo "==> cargo test -q --offline -p truthcast-service"
+cargo test -q --offline -p truthcast-service
+
 # Bench smoke test: compile every bench target and run one short sample
 # of each into a scratch dir — no thresholds, just "the suite still runs
 # and emits reports". Committed snapshots are untouched.
@@ -63,6 +69,19 @@ grep -q "WarmResize" "$SMOKE_DIR/service_churn.out"
 cargo run -q --offline --release -p truthcast-obs --bin tracecheck -- \
     --jsonl "$SMOKE_DIR/service_churn.jsonl"
 
+# Pipeline smoke: the epoch loop and the serve loop of one service run
+# together on all four workloads (static, mobility, storm, churn) at
+# n=256, k=2, each ending in the cold-oracle gate, which exits non-zero
+# on any mismatch (pipebench/PIPELINE.md). pipebench is its own cargo
+# workspace, so its unit tests run separately. A service API change
+# that breaks the benchmark fails here.
+echo "==> pipeline smoke (TRUTHCAST_BENCH_QUICK=1, all workloads, oracle gate)"
+TRUTHCAST_BENCH_QUICK=1 cargo bench --offline --quiet \
+    --manifest-path pipebench/Cargo.toml --bench pipeline >"$SMOKE_DIR/pipeline.out"
+grep '^{' "$SMOKE_DIR/pipeline.out"
+echo "==> pipebench unit tests"
+cargo test -q --offline --manifest-path pipebench/Cargo.toml
+
 # TRUTHCAST_CI_HEAVY=1 re-runs the differential batteries at an elevated
 # case count (the default run above already includes them at the fast
 # count baked into the tests).
@@ -79,6 +98,8 @@ if [ "${TRUTHCAST_CI_HEAVY:-0}" != "0" ]; then
     TRUTHCAST_CASES=256 cargo test -q --offline -p truthcast-core --test delta_props
     echo "==> heavy warm-resize-vs-cold churn battery (TRUTHCAST_CASES=256)"
     TRUTHCAST_CASES=256 cargo test -q --offline -p truthcast-core --test resize_vs_cold
+    echo "==> heavy table-sharing battery (TRUTHCAST_CASES=256)"
+    TRUTHCAST_CASES=256 cargo test -q --offline -p truthcast-core --test table_sharing
     echo "==> heavy modelcheck battery (n=6/n=7, release)"
     TRUTHCAST_CI_HEAVY=1 cargo test -q --offline --release -p truthcast-distsim \
         --test modelcheck_explore heavy_battery

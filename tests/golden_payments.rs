@@ -391,6 +391,6 @@ fn golden_incremental_three_epoch_trace() {
     // Every epoch's full table is bit-identical to the cold engine.
     for (epoch, (g, table)) in [(&e1, &t1), (&e2, &t2), (&e3, &t3)].into_iter().enumerate() {
         let cold = AllSourcesEngine::with_threads(2).price_all_sources(g, ap);
-        assert_eq!(*table, cold, "epoch {}", epoch + 1);
+        assert_eq!(**table, cold, "epoch {}", epoch + 1);
     }
 }
