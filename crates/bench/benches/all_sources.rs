@@ -25,7 +25,7 @@ use truthcast_core::all_sources::AllSourcesEngine;
 use truthcast_core::fast_payments;
 use truthcast_graph::generators::random_udg;
 use truthcast_graph::geometry::Region;
-use truthcast_graph::{Cost, NodeId, NodeWeightedGraph, QueueKind};
+use truthcast_graph::{Cost, NodeId, NodeWeightedGraph};
 use truthcast_rt::bench::{black_box, Harness};
 use truthcast_rt::{Rng, SeedableRng, SmallRng};
 
@@ -83,11 +83,11 @@ fn main() {
             });
         }
         h.bench(format!("engine_1_thread/{n}"), || {
-            let mut engine = AllSourcesEngine::with_queue(1, QueueKind::Radix);
+            let mut engine = AllSourcesEngine::with_threads(1);
             black_box(engine.price_all_sources(&g, ap))
         });
         h.bench(format!("engine_8_threads/{n}"), || {
-            let mut engine = AllSourcesEngine::with_queue(8, QueueKind::Radix);
+            let mut engine = AllSourcesEngine::with_threads(8);
             black_box(engine.price_all_sources(&g, ap))
         });
     }

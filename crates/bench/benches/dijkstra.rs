@@ -1,11 +1,10 @@
 //! Substrate benchmark: node-weighted and link-weighted Dijkstra sweeps,
 //! including the early-exit ablation used by the naive payment scheme.
 //!
-//! The full sweeps run under **both** queue engines in the same process
-//! (`.../radix` vs `.../binary` ids), through pinned workspaces and the
-//! `*_in` entry points, so the measured difference is the queue engine
-//! alone — same packed CSR rows, same hoisted mask checks, no per-query
-//! allocations on either side.
+//! The full sweeps run through a reused workspace and the `*_in` entry
+//! points, so no per-query allocation is measured. Their ids keep the
+//! `/radix` suffix of the rows that once compared the radix queue with a
+//! binary one, so committed baselines still line up.
 
 use truthcast_rt::bench::{black_box, Harness};
 use truthcast_rt::{Rng, SeedableRng, SmallRng};
@@ -14,9 +13,7 @@ use truthcast_graph::dijkstra::{dijkstra, dijkstra_in, DijkstraOptions, Directio
 use truthcast_graph::generators::random_udg;
 use truthcast_graph::geometry::Region;
 use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
-use truthcast_graph::{
-    Cost, DijkstraWorkspace, LinkWeightedDigraph, NodeId, NodeWeightedGraph, QueueKind,
-};
+use truthcast_graph::{Cost, DijkstraWorkspace, LinkWeightedDigraph, NodeId, NodeWeightedGraph};
 
 fn node_weighted(n: usize, seed: u64) -> NodeWeightedGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -38,31 +35,26 @@ fn link_weighted(n: usize, seed: u64) -> LinkWeightedDigraph {
     LinkWeightedDigraph::from_arcs(n, arcs)
 }
 
-const KINDS: [(QueueKind, &str); 2] = [(QueueKind::Radix, "radix"), (QueueKind::Binary, "binary")];
-
 fn main() {
     let mut h = Harness::new("dijkstra");
     for &n in &[256usize, 1024, 4096] {
         let gw = node_weighted(n, 7 + n as u64);
         let gl = link_weighted(n, 7 + n as u64);
-        for (kind, label) in KINDS {
-            let mut ws = DijkstraWorkspace::with_queue(n, kind);
-            h.bench(format!("node_weighted_full/{n}/{label}"), || {
-                node_dijkstra_in(&mut ws, &gw, NodeId(0), NodeDijkstraOptions::default());
-                black_box(ws.dist(NodeId::new(n - 1)))
-            });
-            let mut ws = DijkstraWorkspace::with_queue(n, kind);
-            h.bench(format!("link_weighted_full/{n}/{label}"), || {
-                dijkstra_in(
-                    &mut ws,
-                    &gl,
-                    NodeId(0),
-                    Direction::Forward,
-                    DijkstraOptions::default(),
-                );
-                black_box(ws.dist(NodeId::new(n - 1)))
-            });
-        }
+        let mut ws = DijkstraWorkspace::with_capacity(n);
+        h.bench(format!("node_weighted_full/{n}/radix"), || {
+            node_dijkstra_in(&mut ws, &gw, NodeId(0), NodeDijkstraOptions::default());
+            black_box(ws.dist(NodeId::new(n - 1)))
+        });
+        h.bench(format!("link_weighted_full/{n}/radix"), || {
+            dijkstra_in(
+                &mut ws,
+                &gl,
+                NodeId(0),
+                Direction::Forward,
+                DijkstraOptions::default(),
+            );
+            black_box(ws.dist(NodeId::new(n - 1)))
+        });
         let target = NodeId::new(n / 2);
         h.bench(format!("link_weighted_early_exit/{n}"), || {
             black_box(dijkstra(

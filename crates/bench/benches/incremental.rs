@@ -24,7 +24,7 @@ use truthcast_core::all_sources::AllSourcesEngine;
 use truthcast_core::delta::IncrementalEngine;
 use truthcast_graph::generators::{pairs_within_range, random_placement};
 use truthcast_graph::geometry::{Point, Region};
-use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeWeightedGraph, QueueKind};
+use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeWeightedGraph};
 use truthcast_rt::bench::{black_box, Harness};
 use truthcast_rt::{Rng, SeedableRng, SmallRng};
 
@@ -67,9 +67,8 @@ fn main() {
 
             // The timings only mean anything if the tables agree on both
             // epoch directions.
-            let mut engine =
-                IncrementalEngine::with_queue(1, QueueKind::Radix).with_damage_threshold(1.0);
-            let mut cold = AllSourcesEngine::with_queue(1, QueueKind::Radix);
+            let mut engine = IncrementalEngine::with_threads(1).with_damage_threshold(1.0);
+            let mut cold = AllSourcesEngine::with_threads(1);
             engine.price_epoch(&g0, ap);
             for g in [&g1, &g0] {
                 assert_eq!(
@@ -91,14 +90,14 @@ fn main() {
 
         // Zero-delta fast path: graph diff + cached-table return. Its
         // cost bounds the fixed per-epoch overhead every repair pays.
-        let mut reuse_engine = IncrementalEngine::with_queue(1, QueueKind::Radix);
+        let mut reuse_engine = IncrementalEngine::with_threads(1);
         reuse_engine.price_epoch(&g0, ap);
         h.bench(format!("reuse/{n}"), || {
             black_box(reuse_engine.price_epoch(&g0, ap))
         });
 
         h.bench(format!("cold/{n}"), || {
-            let mut cold = AllSourcesEngine::with_queue(1, QueueKind::Radix);
+            let mut cold = AllSourcesEngine::with_threads(1);
             black_box(cold.price_all_sources(&g0, ap))
         });
     }

@@ -27,7 +27,7 @@ use truthcast_core::all_sources::AllSourcesEngine;
 use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
 use truthcast_graph::generators::{pairs_within_range, random_placement};
 use truthcast_graph::geometry::{Point, Region};
-use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeMap, NodeWeightedGraph, QueueKind};
+use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeMap, NodeWeightedGraph};
 use truthcast_rt::bench::{black_box, Harness};
 use truthcast_rt::{Rng, SeedableRng, SmallRng};
 use truthcast_service::{PaymentService, ServiceConfig};
@@ -54,7 +54,7 @@ fn check_roundtrip(
     ap: NodeId,
     label: &str,
 ) {
-    let mut cold = AllSourcesEngine::with_queue(1, QueueKind::Radix);
+    let mut cold = AllSourcesEngine::with_threads(1);
     engine.price_epoch(a, ap);
     for (g, m) in [(b, fwd), (a, rev)] {
         assert_eq!(
@@ -100,8 +100,7 @@ fn main() {
         let join_fwd = NodeMap::join(n, 1);
         let join_rev = NodeMap::leave_swap(n + 1, NodeId(n as u32));
 
-        let mut engine =
-            IncrementalEngine::with_queue(1, QueueKind::Radix).with_damage_threshold(1.0);
+        let mut engine = IncrementalEngine::with_threads(1).with_damage_threshold(1.0);
         check_roundtrip(&mut engine, &g0, &g_plus, &join_fwd, &join_rev, ap, "join1");
         let mut flip = false;
         h.bench(format!("join1/{n}"), || {
@@ -132,8 +131,7 @@ fn main() {
             n,
         );
 
-        let mut engine =
-            IncrementalEngine::with_queue(1, QueueKind::Radix).with_damage_threshold(1.0);
+        let mut engine = IncrementalEngine::with_threads(1).with_damage_threshold(1.0);
         check_roundtrip(
             &mut engine,
             &g0,
@@ -155,7 +153,7 @@ fn main() {
         });
 
         // The cost every resize epoch paid before the repair plane.
-        let mut cold = AllSourcesEngine::with_queue(1, QueueKind::Radix);
+        let mut cold = AllSourcesEngine::with_threads(1);
         h.bench(format!("cold/{n}"), || {
             black_box(cold.price_all_sources(&g0, ap))
         });

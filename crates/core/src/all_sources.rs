@@ -51,7 +51,7 @@
 use truthcast_graph::dijkstra::{dijkstra_in, DijkstraOptions, Direction};
 use truthcast_graph::heap::IndexedHeap;
 use truthcast_graph::node_dijkstra::NodeDijkstraOptions;
-use truthcast_graph::workspace::{DijkstraWorkspace, QueueKind};
+use truthcast_graph::workspace::DijkstraWorkspace;
 use truthcast_graph::{
     Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph, Spt, SubtreeIntervals,
 };
@@ -394,7 +394,6 @@ pub(crate) fn node_all_sources_from_table(
     dist: &[Cost],
     parent: &[Option<NodeId>],
     threads: usize,
-    kind: QueueKind,
 ) -> (Vec<Option<UnicastPricing>>, usize) {
     let n = g.num_nodes();
     let shared = {
@@ -451,7 +450,7 @@ pub(crate) fn node_all_sources_from_table(
         let priced = par_map_with(
             fb_sources.len(),
             threads,
-            || WorkerScratch::new(n, kind),
+            || WorkerScratch::new(n),
             |sc, i| {
                 let t0 = WorkerScratch::latency_clock();
                 let priced = price_node_session(
@@ -481,7 +480,6 @@ pub(crate) fn link_all_sources_from_table(
     dist: &[Cost],
     parent: &[Option<NodeId>],
     threads: usize,
-    kind: QueueKind,
 ) -> (Vec<Option<UnicastPricing>>, usize) {
     let n = g.num_nodes();
     let shared = {
@@ -540,7 +538,7 @@ pub(crate) fn link_all_sources_from_table(
         let priced = par_map_with(
             fb_sources.len(),
             threads,
-            || WorkerScratch::new(n, kind),
+            || WorkerScratch::new(n),
             |sc, i| {
                 let t0 = WorkerScratch::latency_clock();
                 let priced = price_link_session(
@@ -588,7 +586,6 @@ pub(crate) fn link_all_sources_from_table(
 /// ```
 pub struct AllSourcesEngine {
     threads: usize,
-    kind: QueueKind,
     ws: DijkstraWorkspace,
     dist: Vec<Cost>,
     parent: Vec<Option<NodeId>>,
@@ -605,16 +602,9 @@ impl AllSourcesEngine {
     /// An engine using exactly `threads` workers (clamped to at least 1).
     /// The thread count never affects the returned payments.
     pub fn with_threads(threads: usize) -> AllSourcesEngine {
-        AllSourcesEngine::with_queue(threads, QueueKind::from_env())
-    }
-
-    /// An engine pinned to a specific sweep queue engine — the
-    /// differential-testing hook.
-    pub fn with_queue(threads: usize, kind: QueueKind) -> AllSourcesEngine {
         AllSourcesEngine {
             threads: threads.max(1),
-            kind,
-            ws: DijkstraWorkspace::with_queue(0, kind),
+            ws: DijkstraWorkspace::new(),
             dist: Vec::new(),
             parent: Vec::new(),
             last_fallbacks: 0,
@@ -625,11 +615,6 @@ impl AllSourcesEngine {
     /// The worker count the crossing-edge phase shards across.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The sweep queue engine backing the shared sweep.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// How many sources the most recent call re-priced through the
@@ -665,7 +650,7 @@ impl AllSourcesEngine {
             self.ws.export_into(&mut self.dist, &mut self.parent);
         }
         let (out, fallbacks) =
-            node_all_sources_from_table(g, ap, &self.dist, &self.parent, self.threads, self.kind);
+            node_all_sources_from_table(g, ap, &self.dist, &self.parent, self.threads);
         self.last_fallbacks = fallbacks;
         out
     }
@@ -696,7 +681,7 @@ impl AllSourcesEngine {
             self.ws.export_into(&mut self.dist, &mut self.parent);
         }
         let (out, fallbacks) =
-            link_all_sources_from_table(g, ap, &self.dist, &self.parent, self.threads, self.kind);
+            link_all_sources_from_table(g, ap, &self.dist, &self.parent, self.threads);
         self.last_fallbacks = fallbacks;
         out
     }

@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 
 use truthcast_graph::dijkstra::{dijkstra_in, DijkstraOptions, Direction, DistanceTable};
 use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions, NodeDistanceTable};
-use truthcast_graph::workspace::{DijkstraWorkspace, QueueKind};
+use truthcast_graph::workspace::DijkstraWorkspace;
 use truthcast_graph::{Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph, Spt};
 use truthcast_mechanism::vcg::vcg_payment_selected;
 use truthcast_rt::{default_threads, par_map_with};
@@ -84,9 +84,9 @@ pub(crate) struct WorkerScratch {
 }
 
 impl WorkerScratch {
-    pub(crate) fn new(n: usize, kind: QueueKind) -> WorkerScratch {
+    pub(crate) fn new(n: usize) -> WorkerScratch {
         WorkerScratch {
-            ws: DijkstraWorkspace::with_queue(n, kind),
+            ws: DijkstraWorkspace::with_capacity(n),
             dist: Vec::with_capacity(n),
             parent: Vec::with_capacity(n),
             sessions: 0,
@@ -147,7 +147,6 @@ impl Drop for WorkerScratch {
 pub struct PaymentEngine<'g> {
     g: &'g NodeWeightedGraph,
     threads: usize,
-    kind: QueueKind,
     /// Destination-rooted `R'` tables, shared by every session to the
     /// same destination.
     target_tables: BTreeMap<NodeId, NodeDistanceTable>,
@@ -161,24 +160,11 @@ impl<'g> PaymentEngine<'g> {
 
     /// An engine over `g` using exactly `threads` workers (clamped to at
     /// least 1). The thread count never affects the returned payments —
-    /// only wall-clock time. The sweep engine follows the process default
-    /// ([`QueueKind::from_env`]).
+    /// only wall-clock time.
     pub fn with_threads(g: &'g NodeWeightedGraph, threads: usize) -> PaymentEngine<'g> {
-        PaymentEngine::with_queue(g, threads, QueueKind::from_env())
-    }
-
-    /// An engine pinned to a specific sweep queue engine — the
-    /// differential-testing hook. Every sweep this engine runs (worker
-    /// source sweeps and cached destination tables alike) uses `kind`.
-    pub fn with_queue(
-        g: &'g NodeWeightedGraph,
-        threads: usize,
-        kind: QueueKind,
-    ) -> PaymentEngine<'g> {
         PaymentEngine {
             g,
             threads: threads.max(1),
-            kind,
             target_tables: BTreeMap::new(),
         }
     }
@@ -186,11 +172,6 @@ impl<'g> PaymentEngine<'g> {
     /// The worker count this engine shards batches across.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The sweep queue engine every sweep of this engine uses.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// Number of distinct destinations with a cached table.
@@ -239,7 +220,7 @@ impl<'g> PaymentEngine<'g> {
             truthcast_obs::add("core.batch.target_cache_hits", 1);
         } else {
             truthcast_obs::add("core.batch.target_cache_misses", 1);
-            let mut ws = DijkstraWorkspace::with_queue(self.g.num_nodes(), self.kind);
+            let mut ws = DijkstraWorkspace::with_capacity(self.g.num_nodes());
             node_dijkstra_in(&mut ws, self.g, target, NodeDijkstraOptions::default());
             let (dist, parent) = ws.into_tables();
             self.target_tables.insert(
@@ -271,12 +252,11 @@ impl<'g> PaymentEngine<'g> {
         }
         truthcast_obs::add("core.batch.sessions", sessions.len() as u64);
         let g = self.g;
-        let kind = self.kind;
         let tables = &self.target_tables;
         par_map_with(
             sessions.len(),
             self.threads,
-            || WorkerScratch::new(g.num_nodes(), kind),
+            || WorkerScratch::new(g.num_nodes()),
             |scratch, i| {
                 scratch.sessions += 1;
                 let t0 = WorkerScratch::latency_clock();
@@ -311,7 +291,6 @@ impl<'g> PaymentEngine<'g> {
             &tj.dist,
             &tj.parent,
             self.threads,
-            self.kind,
         );
         out
     }
@@ -378,7 +357,6 @@ pub(crate) fn price_node_session(
 pub struct LinkPaymentEngine<'g> {
     g: &'g LinkWeightedDigraph,
     threads: usize,
-    kind: QueueKind,
     symmetric: bool,
     target_tables: BTreeMap<NodeId, DistanceTable>,
 }
@@ -390,23 +368,11 @@ impl<'g> LinkPaymentEngine<'g> {
     }
 
     /// An engine over `g` using exactly `threads` workers (clamped to at
-    /// least 1). The sweep engine follows the process default
-    /// ([`QueueKind::from_env`]).
+    /// least 1).
     pub fn with_threads(g: &'g LinkWeightedDigraph, threads: usize) -> LinkPaymentEngine<'g> {
-        LinkPaymentEngine::with_queue(g, threads, QueueKind::from_env())
-    }
-
-    /// An engine pinned to a specific sweep queue engine — the
-    /// differential-testing hook.
-    pub fn with_queue(
-        g: &'g LinkWeightedDigraph,
-        threads: usize,
-        kind: QueueKind,
-    ) -> LinkPaymentEngine<'g> {
         LinkPaymentEngine {
             g,
             threads: threads.max(1),
-            kind,
             symmetric: is_symmetric(g),
             target_tables: BTreeMap::new(),
         }
@@ -415,11 +381,6 @@ impl<'g> LinkPaymentEngine<'g> {
     /// The worker count this engine shards batches across.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The sweep queue engine every sweep of this engine uses.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// Whether the topology passed the up-front symmetry check.
@@ -469,7 +430,7 @@ impl<'g> LinkPaymentEngine<'g> {
             truthcast_obs::add("core.batch.target_cache_misses", 1);
             // Symmetric graph: a forward sweep from the target is the
             // `R` table, mirroring `fast_symmetric_payments`.
-            let mut ws = DijkstraWorkspace::with_queue(self.g.num_nodes(), self.kind);
+            let mut ws = DijkstraWorkspace::with_capacity(self.g.num_nodes());
             dijkstra_in(
                 &mut ws,
                 self.g,
@@ -508,12 +469,11 @@ impl<'g> LinkPaymentEngine<'g> {
         }
         truthcast_obs::add("core.batch.sessions", sessions.len() as u64);
         let g = self.g;
-        let kind = self.kind;
         let tables = &self.target_tables;
         par_map_with(
             sessions.len(),
             self.threads,
-            || WorkerScratch::new(g.num_nodes(), kind),
+            || WorkerScratch::new(g.num_nodes()),
             |scratch, i| {
                 scratch.sessions += 1;
                 let t0 = WorkerScratch::latency_clock();
@@ -547,7 +507,6 @@ impl<'g> LinkPaymentEngine<'g> {
             &tj.dist,
             &tj.parent,
             self.threads,
-            self.kind,
         );
         out
     }

@@ -72,8 +72,12 @@
 //! survivors whose tree parent died become severed slice roots (dirty),
 //! newborn arcs arrive as decrease seeds, and survivors that neighbored
 //! a departed node join both the re-run seed set and the primitive
-//! row-damage set. The outcome is [`EpochOutcome::WarmResize`], under
-//! the same damage-threshold contract.
+//! row-damage set. Preorder slices list siblings in index order, so a
+//! renumbering that reverses two siblings reorders every ancestor slice
+//! without changing the tree; those parents join the re-run seed set,
+//! which re-keys their ancestors' cached rows by node identity. The
+//! outcome is [`EpochOutcome::WarmResize`], under the same
+//! damage-threshold contract.
 //!
 //! **Shared output.** Each epoch's table is handed out as an
 //! `Arc<Vec<Option<UnicastPricing>>>` that is never mutated after it is
@@ -107,7 +111,7 @@ use std::sync::{Arc, OnceLock};
 
 use truthcast_graph::heap::IndexedHeap;
 use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
-use truthcast_graph::workspace::{DijkstraWorkspace, QueueKind};
+use truthcast_graph::workspace::DijkstraWorkspace;
 use truthcast_graph::{Cost, NodeId, NodeMap, NodeWeightedGraph, SubtreeIntervals};
 use truthcast_mechanism::vcg::vcg_payment_selected;
 use truthcast_rt::{default_threads, par_map_with};
@@ -496,7 +500,6 @@ pub enum EpochOutcome {
 /// ```
 pub struct IncrementalEngine {
     threads: usize,
-    kind: QueueKind,
     damage_threshold: f64,
     ws: DijkstraWorkspace,
     heap: IndexedHeap<Cost>,
@@ -536,20 +539,15 @@ impl IncrementalEngine {
     }
 
     /// An engine using exactly `threads` workers (clamped to at least 1).
-    /// Thread count never affects the returned payments.
-    pub fn with_threads(threads: usize) -> IncrementalEngine {
-        IncrementalEngine::with_queue(threads, QueueKind::from_env())
-    }
-
-    /// An engine pinned to a specific sweep queue engine — the
-    /// differential-testing hook. (The repair queue itself is always the
-    /// indexed binary heap: its seeds arrive unsorted.)
+    /// Thread count never affects the returned payments. (The repair
+    /// queue is an indexed binary heap rather than the sweeps' radix
+    /// heap: its seeds arrive unsorted.)
     ///
     /// Registers every `core.delta.*` counter with [`truthcast_obs`] so
     /// `summary_table` prints explicit zeros for events that never fired
     /// on a quiet run — a `fallbacks 0` line is evidence the repair path
     /// held; an absent one is evidence of nothing.
-    pub fn with_queue(threads: usize, kind: QueueKind) -> IncrementalEngine {
+    pub fn with_threads(threads: usize) -> IncrementalEngine {
         for name in [
             "core.delta.deltas",
             "core.delta.reuses",
@@ -568,9 +566,8 @@ impl IncrementalEngine {
         }
         IncrementalEngine {
             threads: threads.max(1),
-            kind,
             damage_threshold: damage_threshold_from_env(),
-            ws: DijkstraWorkspace::with_queue(0, kind),
+            ws: DijkstraWorkspace::new(),
             heap: IndexedHeap::new(0),
             heap_capacity: 0,
             dist: Vec::new(),
@@ -593,11 +590,6 @@ impl IncrementalEngine {
     /// The worker count the detour and fallback phases shard across.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The sweep queue engine backing cold sweeps and fallback sessions.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// The current damage threshold (fraction of `n`).
@@ -671,30 +663,11 @@ impl IncrementalEngine {
                     return Arc::clone(&self.published);
                 }
                 truthcast_obs::add("core.delta.deltas", delta.len() as u64);
-                let region = {
-                    let shared = self.shared.as_ref().expect("prev epoch left tables");
-                    classify_delta(&delta, &shared.iv, &self.parent, ap)
-                };
-                truthcast_obs::add("core.delta.dirty_nodes", region.dirty_count as u64);
-                let damage = region.dirty_count + region.decrease_seeds.len();
-                if (damage as f64) > self.damage_threshold * n as f64 {
-                    truthcast_obs::add("core.delta.fallbacks", 1);
-                    self.cold(g, ap);
-                    self.last_outcome = EpochOutcome::Fallback {
-                        dirty_nodes: region.dirty_count,
-                    };
-                } else {
-                    truthcast_obs::add("core.delta.repaired_slices", region.slices as u64);
-                    let repair_span = truthcast_obs::span("core.delta.repair");
-                    self.old_dist.clone_from(&self.dist);
-                    self.old_parent.clone_from(&self.parent);
-                    self.repair(g, &region);
-                    let repriced = self.reprice(g, ap, &delta, &[]);
-                    drop(repair_span);
+                if let Some(r) = self.repair_or_fall_back(g, ap, &delta, &[], &[], &[]) {
                     self.last_outcome = EpochOutcome::Repaired {
-                        dirty_nodes: region.dirty_count,
-                        repaired_slices: region.slices,
-                        repriced_sources: repriced,
+                        dirty_nodes: r.dirty_nodes,
+                        repaired_slices: r.slices,
+                        repriced_sources: r.repriced,
                     };
                 }
             }
@@ -777,7 +750,8 @@ impl IncrementalEngine {
     /// classify the mapped delta (departed tree parents become severed
     /// slice roots), then repair and re-price exactly as a same-node-set
     /// epoch — with the dead-adjacent survivors added to the relay
-    /// re-run seed set and the row-damage set.
+    /// re-run seed set and the row-damage set, and the parents whose
+    /// children the renumbering reordered added to the re-run seed set.
     fn warm_resize(
         &mut self,
         g: &NodeWeightedGraph,
@@ -786,44 +760,75 @@ impl IncrementalEngine {
         map: &NodeMap,
     ) {
         let _resize_span = truthcast_obs::span("core.delta.resize");
-        let n = g.num_nodes();
         let md = GraphDelta::between_mapped(pg, g, map);
         truthcast_obs::add("core.delta.deltas", md.delta.len() as u64);
-        let severed = self.remap_state(map);
-        let region = {
-            let shared = self.shared.as_ref().expect("remap left tables");
-            classify_delta_severed(&md.delta, &severed, &shared.iv, &self.parent, ap)
-        };
-        truthcast_obs::add("core.delta.dirty_nodes", region.dirty_count as u64);
-        let damage = region.dirty_count + region.decrease_seeds.len();
-        if (damage as f64) > self.damage_threshold * n as f64 {
-            truthcast_obs::add("core.delta.fallbacks", 1);
-            self.cold(g, ap);
-            self.last_outcome = EpochOutcome::Fallback {
-                dirty_nodes: region.dirty_count,
-            };
-        } else {
-            truthcast_obs::add("core.delta.repaired_slices", region.slices as u64);
-            let repair_span = truthcast_obs::span("core.delta.repair");
-            self.old_dist.clone_from(&self.dist);
-            self.old_parent.clone_from(&self.parent);
-            self.repair(g, &region);
-            let repaired = self.reprice(g, ap, &md.delta, &md.dead_adjacent);
-            drop(repair_span);
+        let remapped = self.remap_state(map);
+        if let Some(r) = self.repair_or_fall_back(
+            g,
+            ap,
+            &md.delta,
+            &remapped.severed,
+            &md.dead_adjacent,
+            &remapped.reordered,
+        ) {
             truthcast_obs::add("core.delta.warm_resizes", 1);
             truthcast_obs::add("core.delta.born", md.born as u64);
             truthcast_obs::add("core.delta.died", md.died as u64);
             self.last_outcome = EpochOutcome::WarmResize {
                 born: md.born,
                 died: md.died,
-                repaired,
+                repaired: r.repriced,
             };
         }
     }
 
+    /// The repair pipeline shared by same-node-set and warm-resize
+    /// epochs: classify `delta` (plus `severed` slice roots) against the
+    /// previous tree, then either fall back cold past the damage
+    /// threshold — recording [`EpochOutcome::Fallback`] and returning
+    /// `None` — or repair the distance table and re-price. See
+    /// [`IncrementalEngine::reprice`] for `extra_damage` and `reordered`
+    /// (both empty outside a resize epoch).
+    fn repair_or_fall_back(
+        &mut self,
+        g: &NodeWeightedGraph,
+        ap: NodeId,
+        delta: &GraphDelta,
+        severed: &[NodeId],
+        extra_damage: &[NodeId],
+        reordered: &[NodeId],
+    ) -> Option<RepairStats> {
+        let region = {
+            let shared = self.shared.as_ref().expect("prev epoch left tables");
+            classify_delta_severed(delta, severed, &shared.iv, &self.parent, ap)
+        };
+        truthcast_obs::add("core.delta.dirty_nodes", region.dirty_count as u64);
+        let damage = region.dirty_count + region.decrease_seeds.len();
+        if (damage as f64) > self.damage_threshold * g.num_nodes() as f64 {
+            truthcast_obs::add("core.delta.fallbacks", 1);
+            self.cold(g, ap);
+            self.last_outcome = EpochOutcome::Fallback {
+                dirty_nodes: region.dirty_count,
+            };
+            return None;
+        }
+        truthcast_obs::add("core.delta.repaired_slices", region.slices as u64);
+        let _repair_span = truthcast_obs::span("core.delta.repair");
+        self.old_dist.clone_from(&self.dist);
+        self.old_parent.clone_from(&self.parent);
+        self.repair(g, &region);
+        let repriced = self.reprice(g, ap, delta, extra_damage, reordered);
+        Some(RepairStats {
+            dirty_nodes: region.dirty_count,
+            slices: region.slices,
+            repriced,
+        })
+    }
+
     /// Translates every piece of warm state into the map's new index
     /// space, returning the severed slice roots (survivors whose tree
-    /// parent departed). The translation protocol:
+    /// parent departed) and the reordered parents (see [`Remapped`]).
+    /// The translation protocol:
     ///
     /// * `dist`/`parent` — survivors keep their values under new
     ///   indices; newborns sit at infinity with no parent (they settle
@@ -844,20 +849,31 @@ impl IncrementalEngine {
     /// * shared sweep — intervals remapped (compaction preserves
     ///   survivor ancestry and slice contiguity), fallback marks carried
     ///   per survivor.
-    fn remap_state(&mut self, map: &NodeMap) -> Vec<NodeId> {
+    fn remap_state(&mut self, map: &NodeMap) -> Remapped {
         let new_n = map.new_len();
         let old_shared = self.shared.take().expect("prev epoch left tables");
         let mut severed: Vec<NodeId> = Vec::new();
+        let mut reordered: Vec<NodeId> = Vec::new();
 
         let mut dist = vec![Cost::INF; new_n];
         let mut parent = vec![None; new_n];
+        // New index of the last child seen per parent: children arrive in
+        // old index order, so a descent means the renumbering swapped two
+        // siblings' relative order.
+        let mut last_child: Vec<Option<NodeId>> = vec![None; new_n];
         for i in 0..map.old_len() {
             let v = NodeId(i as u32);
             let Some(nv) = map.to_new(v) else { continue };
             dist[nv.index()] = self.dist[i];
             parent[nv.index()] = match self.parent[i] {
                 Some(p) => match map.to_new(p) {
-                    Some(np) => Some(np),
+                    Some(np) => {
+                        let last = last_child[np.index()].replace(nv);
+                        if last.is_some_and(|c| c > nv) {
+                            reordered.push(np);
+                        }
+                        Some(np)
+                    }
                     None => {
                         severed.push(nv);
                         None
@@ -935,7 +951,7 @@ impl IncrementalEngine {
             self.heap = IndexedHeap::new(new_n);
             self.heap_capacity = new_n;
         }
-        severed
+        Remapped { severed, reordered }
     }
 
     /// Full cold pipeline: AP-rooted sweep, fresh classification, detour
@@ -1053,16 +1069,25 @@ impl IncrementalEngine {
 
     /// Post-repair re-pricing: fresh classification, conservative relay
     /// re-runs, branch-local source re-assembly. Returns the number of
-    /// re-priced sources. `extra_damage` (empty outside a resize epoch)
-    /// names survivors that neighbored a departed node: their escapes
-    /// and support chains may have routed through it, so they join both
-    /// the seed set A and the primitive damage set G.
+    /// re-priced sources. Both lists are empty outside a resize epoch:
+    ///
+    /// * `extra_damage` names survivors that neighbored a departed node:
+    ///   their escapes and support chains may have routed through it, so
+    ///   they join both the seed set A and the primitive damage set G.
+    /// * `reordered` names parents whose children the renumbering put in
+    ///   a new relative order. A slice lists siblings in index order, so
+    ///   the slice of such a parent and of every ancestor changes order
+    ///   even where the tree did not change, and a cached row kept
+    ///   without a re-run would be read at the wrong offsets. They join
+    ///   A only: no detour value moved, so re-running (which re-keys the
+    ///   cached row by node identity) realigns the row.
     fn reprice(
         &mut self,
         g: &NodeWeightedGraph,
         ap: NodeId,
         delta: &GraphDelta,
         extra_damage: &[NodeId],
+        reordered: &[NodeId],
     ) -> usize {
         let n = g.num_nodes();
         let old_shared = self.shared.take().expect("prev epoch left tables");
@@ -1094,7 +1119,7 @@ impl IncrementalEngine {
         for &(x, _, _) in &delta.costs_changed {
             in_a[x.index()] = true;
         }
-        for &v in extra_damage {
+        for &v in extra_damage.iter().chain(reordered) {
             in_a[v.index()] = true;
         }
 
@@ -1401,11 +1426,10 @@ impl IncrementalEngine {
         {
             let _s = truthcast_obs::span("delta.fallback");
             let dist = &self.dist;
-            let kind = self.kind;
             let priced = par_map_with(
                 fb.len(),
                 self.threads,
-                || WorkerScratch::new(n, kind),
+                || WorkerScratch::new(n),
                 |sc, i| {
                     let t0 = WorkerScratch::latency_clock();
                     let priced = price_node_session(
@@ -1426,6 +1450,24 @@ impl IncrementalEngine {
         self.last_fallback_sources = fb.len();
         repriced + fb.len()
     }
+}
+
+/// What [`IncrementalEngine::remap_state`] learned about the renumbering,
+/// in the new index space.
+struct Remapped {
+    /// Survivors whose tree parent departed: severed slice roots.
+    severed: Vec<NodeId>,
+    /// Surviving parents with two surviving children whose relative
+    /// index order the map reversed. Empty for joins, for leaves of the
+    /// last node, and for any order-preserving compaction.
+    reordered: Vec<NodeId>,
+}
+
+/// Counts a successful repair epoch reports in its [`EpochOutcome`].
+struct RepairStats {
+    dirty_nodes: usize,
+    slices: usize,
+    repriced: usize,
 }
 
 /// Translates a cached pricing into `map`'s new index space, or `None`

@@ -19,7 +19,7 @@ use truthcast_core::batch::{PaymentEngine, SessionQuery};
 use truthcast_core::{fast_payments, fast_symmetric_payments, price_all_sources, UnicastPricing};
 use truthcast_graph::generators::{erdos_renyi, random_udg};
 use truthcast_graph::geometry::Region;
-use truthcast_graph::{Adjacency, Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph, QueueKind};
+use truthcast_graph::{Adjacency, Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph};
 use truthcast_rt::{bools, cases, forall, prop_assert_eq, Rng, SeedableRng, SmallRng};
 
 /// Thread counts: the inline path, an even split, a prime that never
@@ -92,13 +92,11 @@ fn node_table_matches_fast_payments() {
     });
 }
 
-/// Pinned queue engines agree with a same-kind per-session batch engine
-/// (within one [`QueueKind`] both pipelines must be bit-identical; across
-/// kinds only tie-independent quantities are comparable — see
-/// `radix_pinned.rs`). The kind matching the process default must also
-/// equal the one-shot `fast_payments` oracle.
+/// The all-sources engine agrees with the per-session batch engine
+/// (both pipelines share one sweep engine, so they must be
+/// bit-identical) and with the one-shot `fast_payments` oracle.
 #[test]
-fn node_table_matches_under_both_queue_kinds() {
+fn node_table_matches_the_batch_engine() {
     forall!(cases(24), (0u64..1 << 48, bools()), |(seed, ties)| {
         let adj = random_topology(seed, false);
         let n = adj.num_nodes();
@@ -109,19 +107,14 @@ fn node_table_matches_under_both_queue_kinds() {
             .filter(|&s| s != ap)
             .map(|s| SessionQuery::new(s, ap))
             .collect();
-        for kind in [QueueKind::Radix, QueueKind::Binary] {
-            let batch = PaymentEngine::with_queue(&g, 1, kind).price_batch(&sessions);
-            let mut expected: Vec<Option<UnicastPricing>> = vec![None; n];
-            for (q, p) in sessions.iter().zip(batch) {
-                expected[q.source.index()] = p;
-            }
-            let mut engine = AllSourcesEngine::with_queue(2, kind);
-            let got = engine.price_all_sources(&g, ap);
-            prop_assert_eq!(&got, &expected, "kind={:?}", kind);
-            if kind == QueueKind::from_env() {
-                prop_assert_eq!(&got, &oracle_table(&g, ap), "default kind={:?}", kind);
-            }
+        let batch = PaymentEngine::with_threads(&g, 1).price_batch(&sessions);
+        let mut expected: Vec<Option<UnicastPricing>> = vec![None; n];
+        for (q, p) in sessions.iter().zip(batch) {
+            expected[q.source.index()] = p;
         }
+        let got = AllSourcesEngine::with_threads(2).price_all_sources(&g, ap);
+        prop_assert_eq!(&got, &expected);
+        prop_assert_eq!(&got, &oracle_table(&g, ap));
         Ok(())
     });
 }

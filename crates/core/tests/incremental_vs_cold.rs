@@ -1,8 +1,7 @@
 //! Differential epoch battery: the warm [`IncrementalEngine`] must be
 //! **bit-identical** to a cold [`AllSourcesEngine`] sweep at every epoch
 //! of a mobility trace — payment tables *and* distance tables — at every
-//! thread count, under both queue kinds, and at every damage threshold
-//! (0.0 forces the fallback path, 1.0 forces slice repair, the default
+//! thread count and at every damage threshold (0.0 forces the fallback path, 1.0 forces slice repair, the default
 //! exercises the crossover).
 //!
 //! Traces come in two flavors: UDG node teleports (a deployment where a
@@ -25,7 +24,7 @@ use truthcast_core::all_sources::AllSourcesEngine;
 use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
 use truthcast_graph::generators::{erdos_renyi, pairs_within_range, random_placement};
 use truthcast_graph::geometry::Region;
-use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeWeightedGraph, QueueKind};
+use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeWeightedGraph};
 use truthcast_rt::{bools, cases, forall, prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
 
 /// Thread counts: the inline path, an even split, a prime that never
@@ -130,8 +129,7 @@ fn er_trace(seed: u64, ties: bool) -> Vec<NodeWeightedGraph> {
 }
 
 /// Drives one warm engine down the trace and compares every epoch's
-/// payment table *and* distance table against a fresh same-kind cold
-/// engine. Returns the outcome sequence so callers can pin path
+/// payment table *and* distance table against a fresh cold engine. Returns the outcome sequence so callers can pin path
 /// coverage.
 fn check_trace(
     graphs: &[NodeWeightedGraph],
@@ -141,7 +139,7 @@ fn check_trace(
     let mut outcomes = Vec::with_capacity(graphs.len());
     for (epoch, g) in graphs.iter().enumerate() {
         let got = engine.price_epoch(g, ap);
-        let mut cold = AllSourcesEngine::with_queue(engine.threads(), engine.queue_kind());
+        let mut cold = AllSourcesEngine::with_threads(engine.threads());
         let expected = cold.price_all_sources(g, ap);
         let outcome = engine.last_outcome();
         prop_assert_eq!(
@@ -193,22 +191,6 @@ fn repair_matches_cold_across_threads() {
                 "threshold 1.0 must never fall back: {:?}",
                 outcomes
             );
-        }
-        Ok(())
-    });
-}
-
-/// Both queue kinds: within one [`QueueKind`] the warm engine and the
-/// cold engine share tie-breaking, so repair must land on identical
-/// tables under Radix and Binary alike.
-#[test]
-fn repair_matches_cold_under_both_queue_kinds() {
-    forall!(cases(16), (0u64..1 << 48, bools()), |(seed, ties)| {
-        let graphs = er_trace(seed, ties);
-        let ap = NodeId(0);
-        for kind in [QueueKind::Radix, QueueKind::Binary] {
-            let engine = IncrementalEngine::with_queue(2, kind).with_damage_threshold(1.0);
-            check_trace(&graphs, ap, engine)?;
         }
         Ok(())
     });

@@ -1,8 +1,7 @@
 //! Differential churn battery: [`IncrementalEngine::price_epoch_mapped`]
 //! must be **bit-identical** to a cold [`AllSourcesEngine`] sweep at
 //! every epoch of a join/leave trace — payment tables *and* distance
-//! tables — at every thread count, under both queue kinds, and at every
-//! damage threshold.
+//! tables — at every thread count and at every damage threshold.
 //!
 //! Traces track node *identity* explicitly: every node carries a tag,
 //! joins push fresh tags, leaves `swap_remove` (the dense renumbering
@@ -17,9 +16,9 @@
 
 use truthcast_core::all_sources::AllSourcesEngine;
 use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
-use truthcast_graph::generators::pairs_within_range;
+use truthcast_graph::generators::{pairs_within_range, random_placement};
 use truthcast_graph::geometry::{Point, Region};
-use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeMap, NodeWeightedGraph, QueueKind};
+use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeMap, NodeWeightedGraph};
 use truthcast_rt::{bools, cases, forall, prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
 
 /// Thread counts: the inline path, an even split, a prime that never
@@ -251,12 +250,12 @@ fn er_trace(seed: u64, ties: bool, mode: Mode) -> Vec<Step> {
 
 /// Drives one warm engine down the churn trace via the mapped entry
 /// point and compares every epoch's payment *and* distance tables
-/// against a fresh same-kind cold engine.
+/// against a fresh cold engine.
 fn check_trace(steps: &[Step], mut engine: IncrementalEngine) -> Result<Vec<EpochOutcome>, String> {
     let mut outcomes = Vec::with_capacity(steps.len());
     for (epoch, s) in steps.iter().enumerate() {
         let got = engine.price_epoch_mapped(&s.graph, s.ap, &s.map);
-        let mut cold = AllSourcesEngine::with_queue(engine.threads(), engine.queue_kind());
+        let mut cold = AllSourcesEngine::with_threads(engine.threads());
         let expected = cold.price_all_sources(&s.graph, s.ap);
         let outcome = engine.last_outcome();
         prop_assert_eq!(
@@ -325,21 +324,6 @@ fn warm_resize_matches_cold_across_threads() {
                     );
                 }
             }
-        }
-        Ok(())
-    });
-}
-
-/// Both queue kinds: within one [`QueueKind`] the warm engine and the
-/// cold engine share tie-breaking, so cross-resize repair must land on
-/// identical tables under Radix and Binary alike.
-#[test]
-fn warm_resize_matches_cold_under_both_queue_kinds() {
-    forall!(cases(12), (0u64..1 << 48, bools()), |(seed, ties)| {
-        let steps = er_trace(seed, ties, Mode::Mixed);
-        for kind in [QueueKind::Radix, QueueKind::Binary] {
-            let engine = IncrementalEngine::with_queue(2, kind).with_damage_threshold(1.0);
-            check_trace(&steps, engine)?;
         }
         Ok(())
     });
@@ -447,4 +431,58 @@ fn chained_newborns_settle_through_decrease_seeds() {
         Cost::from_units(5),
         "2 now routes via the newborn chain 4-3"
     );
+}
+
+/// A `swap_remove` leave renumbers the last node into the hole, which
+/// can reverse its order against its siblings and so reorder every
+/// ancestor's preorder slice without changing the tree. Cached detour
+/// rows of those ancestors must not be read at their old offsets. The
+/// trace is the pipeline benchmark's deployment at n = 32 (UDG, range
+/// 300, costs from U[1, 50), AP 0, one thread, default threshold), one
+/// `leave_swap` per epoch, checked against a cold engine every epoch.
+/// Seeds 1, 3, 14, 16, 19 and 20 come first: without the sibling-order
+/// realignment they diverge in payments; some later seeds instead loop
+/// in the row repair.
+#[test]
+fn swap_remove_leaves_match_cold() {
+    let seeds = [1u64, 3, 14, 16, 19, 20].into_iter().chain(0..24);
+    for seed in seeds {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = 32;
+        let range = 300.0;
+        let side = (n as f64 * range * range * std::f64::consts::PI / 12.0).sqrt();
+        let mut points = random_placement(n, Region::new(side, side), &mut rng);
+        let mut costs: Vec<Cost> = (0..n)
+            .map(|_| Cost::from_f64(rng.gen_range(1.0..50.0)))
+            .collect();
+        let graph = |points: &[Point], costs: &[Cost]| {
+            let pairs: Vec<(u32, u32)> = pairs_within_range(points, range)
+                .into_iter()
+                .map(|(u, v)| (u.0, v.0))
+                .collect();
+            NodeWeightedGraph::new(adjacency_from_pairs(points.len(), &pairs), costs.to_vec())
+        };
+        let mut steps = vec![Step {
+            graph: graph(&points, &costs),
+            map: NodeMap::identity(n),
+            ap: NodeId(0),
+        }];
+        for _ in 0..32 {
+            let old_n = points.len();
+            if old_n < 3 {
+                break;
+            }
+            let dead = rng.gen_range(1..old_n);
+            points.swap_remove(dead);
+            costs.swap_remove(dead);
+            steps.push(Step {
+                graph: graph(&points, &costs),
+                map: NodeMap::leave_swap(old_n, NodeId::new(dead)),
+                ap: NodeId(0),
+            });
+        }
+        if let Err(e) = check_trace(&steps, IncrementalEngine::with_threads(1)) {
+            panic!("seed {seed}: {e}");
+        }
+    }
 }

@@ -6,18 +6,18 @@
 //! (agent removal), and early termination at a target — the latter is the
 //! workhorse optimization of our naive payment baseline.
 //!
-//! The sweep body is generic over the workspace's queue engine
-//! ([`QueueKind`]) — monotone radix heap by default, binary heap behind
-//! the knob — and specializes the relax loop on whether any avoidance
-//! constraint is active, so the unconstrained hot path (every batch
-//! pricing sweep) runs with no per-arc mask or edge checks.
+//! The sweep runs on the workspace's monotone radix heap and specializes
+//! the relax loop on whether any avoidance constraint is active, so the
+//! unconstrained hot path (every batch pricing sweep) runs with no
+//! per-arc mask or edge checks.
 
 use crate::cost::Cost;
 use crate::ids::NodeId;
 use crate::link_weighted::{LinkWeightedDigraph, PackedArc};
 use crate::mask::NodeMask;
+use crate::radix_heap::RadixHeap;
 use crate::sweep_obs::SweepCounters;
-use crate::workspace::{DijkstraWorkspace, QueueKind, SweepQueue, SweepTables};
+use crate::workspace::{DijkstraWorkspace, SweepTables};
 
 /// Sweep direction for [`dijkstra`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,18 +134,15 @@ pub fn dijkstra_in(
     opts: DijkstraOptions<'_>,
 ) {
     ws.begin(g.num_nodes());
-    match ws.kind {
-        QueueKind::Radix => link_sweep(&mut ws.tables, &mut ws.radix, g, origin, direction, opts),
-        QueueKind::Binary => link_sweep(&mut ws.tables, &mut ws.binary, g, origin, direction, opts),
-    }
+    link_sweep(&mut ws.tables, &mut ws.queue, g, origin, direction, opts);
 }
 
-/// The sweep body, monomorphized per queue engine. The relax loop is
-/// duplicated so the common unconstrained case (no mask, no removed edge)
-/// carries no per-arc checks at all.
-fn link_sweep<Q: SweepQueue>(
+/// The sweep body. The relax loop is duplicated so the common
+/// unconstrained case (no mask, no removed edge) carries no per-arc
+/// checks at all.
+fn link_sweep(
     t: &mut SweepTables,
-    queue: &mut Q,
+    queue: &mut RadixHeap,
     g: &LinkWeightedDigraph,
     origin: NodeId,
     direction: Direction,
@@ -374,34 +371,6 @@ mod tests {
     fn zero_distance_to_self() {
         let g = sample();
         assert_eq!(st_distance(&g, NodeId(2), NodeId(2), None), Cost::ZERO);
-    }
-
-    #[test]
-    fn queue_kinds_agree_on_sample() {
-        let g = sample();
-        for origin in [NodeId(0), NodeId(3)] {
-            for direction in [Direction::Forward, Direction::Backward] {
-                let mut radix = DijkstraWorkspace::with_queue(4, QueueKind::Radix);
-                let mut binary = DijkstraWorkspace::with_queue(4, QueueKind::Binary);
-                dijkstra_in(
-                    &mut radix,
-                    &g,
-                    origin,
-                    direction,
-                    DijkstraOptions::default(),
-                );
-                dijkstra_in(
-                    &mut binary,
-                    &g,
-                    origin,
-                    direction,
-                    DijkstraOptions::default(),
-                );
-                for v in g.node_ids() {
-                    assert_eq!(radix.dist(v), binary.dist(v), "{origin} {direction:?} {v}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -14,16 +14,14 @@
 //!   owning directed link costs);
 //! * [`heap::IndexedHeap`] — a decrease-key/delete binary heap used by
 //!   Algorithm 1's sliding crossing-edge window and restricted searches,
-//!   and as the differential-testing reference engine for the sweeps;
+//!   and by the incremental engine's repair queue;
 //! * [`radix_heap::RadixHeap`] — a monotone bucket queue over fixed-point
-//!   costs, the default Dijkstra engine (`O(m + n log C)`);
+//!   costs, the Dijkstra sweep engine (`O(m + n log C)`);
 //! * [`dijkstra`] / [`node_dijkstra`] — shortest-path sweeps with node
 //!   masks (agent removal) and early exit;
 //! * [`workspace::DijkstraWorkspace`] — reusable sweep buffers with
 //!   epoch-based `O(1)` clearing, so batch callers pay zero allocations
-//!   per query (the one-shot sweeps run through the same code path); the
-//!   [`workspace::QueueKind`] knob selects radix vs binary per workspace
-//!   (env override `TRUTHCAST_QUEUE=binary`);
+//!   per query (the one-shot sweeps run through the same code path);
 //! * [`spt::Spt`] — shortest-path trees with child lists and preorder
 //!   traversal for the level assignment;
 //! * [`connectivity`] — biconnectivity (the paper's monopoly-freeness
@@ -63,4 +61,4 @@ pub use node_map::NodeMap;
 pub use node_weighted::NodeWeightedGraph;
 pub use radix_heap::RadixHeap;
 pub use spt::{Spt, SubtreeIntervals};
-pub use workspace::{DijkstraWorkspace, QueueKind};
+pub use workspace::DijkstraWorkspace;

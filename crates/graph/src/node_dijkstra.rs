@@ -20,8 +20,9 @@ use crate::cost::Cost;
 use crate::ids::NodeId;
 use crate::mask::NodeMask;
 use crate::node_weighted::NodeWeightedGraph;
+use crate::radix_heap::RadixHeap;
 use crate::sweep_obs::SweepCounters;
-use crate::workspace::{DijkstraWorkspace, QueueKind, SweepQueue, SweepTables};
+use crate::workspace::{DijkstraWorkspace, SweepTables};
 
 /// Result of a node-weighted sweep (see module docs for the convention).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,18 +125,14 @@ pub fn node_dijkstra_in(
     opts: NodeDijkstraOptions<'_>,
 ) {
     ws.begin(g.num_nodes());
-    match ws.kind {
-        QueueKind::Radix => node_sweep(&mut ws.tables, &mut ws.radix, g, origin, opts),
-        QueueKind::Binary => node_sweep(&mut ws.tables, &mut ws.binary, g, origin, opts),
-    }
+    node_sweep(&mut ws.tables, &mut ws.queue, g, origin, opts);
 }
 
-/// The sweep body, monomorphized per queue engine; the relax loop is
-/// specialized on mask presence so the unmasked hot path carries no
-/// per-neighbor check.
-fn node_sweep<Q: SweepQueue>(
+/// The sweep body; the relax loop is specialized on mask presence so the
+/// unmasked hot path carries no per-neighbor check.
+fn node_sweep(
     t: &mut SweepTables,
-    queue: &mut Q,
+    queue: &mut RadixHeap,
     g: &NodeWeightedGraph,
     origin: NodeId,
     opts: NodeDijkstraOptions<'_>,

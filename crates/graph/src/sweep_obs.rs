@@ -16,8 +16,8 @@ pub struct SweepCounters {
     pub decrease_keys: u64,
     /// Edge relaxations examined (including non-improving ones).
     pub relaxations: u64,
-    /// Entries moved by radix-heap bucket redistributions (0 on the
-    /// binary engine) — the radix heap's only super-constant work.
+    /// Entries moved by radix-heap bucket redistributions — the radix
+    /// heap's only super-constant work.
     pub radix_redistributes: u64,
 }
 

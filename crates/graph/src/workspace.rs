@@ -1,5 +1,4 @@
-//! Reusable shortest-path sweep buffers with epoch-based clearing, and
-//! the priority-queue engine selection behind every sweep.
+//! Reusable shortest-path sweep buffers with epoch-based clearing.
 //!
 //! A Dijkstra sweep needs a distance array, a predecessor array, and a
 //! priority queue — all `O(n)` allocations. For one-shot queries that cost
@@ -11,107 +10,26 @@
 //! new sweep is therefore `O(1)` — no `memset`, no allocation — and the
 //! buffers grow monotonically to the largest graph seen.
 //!
-//! The workspace also owns *both* queue engines — the monotone
-//! [`RadixHeap`] (the default: `O(m + n log C)` with bucket inserts
-//! instead of `log n` sift chains) and the binary [`IndexedHeap`]
-//! (retained behind the [`QueueKind`] knob for differential testing) —
-//! and dispatches each sweep to the engine chosen at construction.
-//! `TRUTHCAST_QUEUE=binary` flips the process-wide default.
+//! The workspace's queue is the monotone [`RadixHeap`] (`O(m + n log C)`
+//! with bucket inserts instead of `log n` sift chains), the only sweep
+//! engine, so every sweep in the process breaks ties the same way. The
+//! binary-heap Dijkstra survives only as the reference oracle in
+//! `crates/graph/tests/radix_vs_binary.rs`.
 //!
 //! Both sweep entry points ([`crate::dijkstra::dijkstra`] and
 //! [`crate::node_dijkstra::node_dijkstra`]) run *through* a workspace —
 //! the one-shot wrappers simply build a fresh one and steal its buffers
 //! for the returned table, so the workspace-backed and one-shot paths are
-//! the same code and produce bit-identical results (same queue engine,
-//! same relaxation order, same tie-breaking). Batch callers keep a
-//! workspace per worker thread and call the `*_in` variants
+//! the same code and produce bit-identical results (same relaxation
+//! order, same tie-breaking). Batch callers keep a workspace per worker
+//! thread and call the `*_in` variants
 //! ([`crate::dijkstra::dijkstra_in`],
 //! [`crate::node_dijkstra::node_dijkstra_in`]) to amortize every
 //! allocation away.
 
 use crate::cost::Cost;
-use crate::heap::IndexedHeap;
 use crate::ids::NodeId;
 use crate::radix_heap::RadixHeap;
-
-/// Which priority-queue engine a sweep runs on.
-///
-/// Distances and reached sets are identical under either engine; only
-/// tie-breaking among equal-cost paths (and therefore parent trees) may
-/// differ. The differential battery
-/// (`crates/graph/tests/radix_vs_binary.rs`) holds the two equivalent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Monotone radix/bucket heap ([`RadixHeap`]) — the default engine.
-    #[default]
-    Radix,
-    /// Indexed binary heap ([`IndexedHeap`]) — the pre-radix baseline,
-    /// kept for differential testing and ablation benchmarks.
-    Binary,
-}
-
-impl QueueKind {
-    /// The process-wide default engine: [`QueueKind::Radix`], unless the
-    /// `TRUTHCAST_QUEUE=binary` escape hatch is set (read once).
-    pub fn from_env() -> QueueKind {
-        static KIND: std::sync::OnceLock<QueueKind> = std::sync::OnceLock::new();
-        *KIND.get_or_init(|| match std::env::var("TRUTHCAST_QUEUE").as_deref() {
-            Ok("binary") => QueueKind::Binary,
-            _ => QueueKind::Radix,
-        })
-    }
-}
-
-/// The queue operations a sweep needs, implemented by both engines so the
-/// relax loop monomorphizes into direct calls for each.
-pub(crate) trait SweepQueue {
-    /// Inserts a key that is not currently present.
-    fn push(&mut self, key: u32, priority: Cost);
-    /// Removes and returns a minimum entry.
-    fn pop_min(&mut self) -> Option<(u32, Cost)>;
-    /// Inserts `key` or lowers its priority (the caller has already
-    /// verified the new priority improves). Returns `true` on insert.
-    fn push_or_decrease(&mut self, key: u32, priority: Cost) -> bool;
-    /// Entries moved by radix redistributions this sweep (0 for engines
-    /// without redistribution).
-    fn redistributed(&self) -> u64 {
-        0
-    }
-}
-
-impl SweepQueue for IndexedHeap<Cost> {
-    #[inline]
-    fn push(&mut self, key: u32, priority: Cost) {
-        IndexedHeap::push(self, key, priority);
-    }
-    #[inline]
-    fn pop_min(&mut self) -> Option<(u32, Cost)> {
-        IndexedHeap::pop_min(self)
-    }
-    #[inline]
-    fn push_or_decrease(&mut self, key: u32, priority: Cost) -> bool {
-        IndexedHeap::push_or_update(self, key, priority)
-    }
-}
-
-impl SweepQueue for RadixHeap {
-    #[inline]
-    fn push(&mut self, key: u32, priority: Cost) {
-        RadixHeap::push(self, key, priority);
-    }
-    #[inline]
-    fn pop_min(&mut self) -> Option<(u32, Cost)> {
-        RadixHeap::pop_min(self)
-    }
-    #[inline]
-    fn push_or_decrease(&mut self, key: u32, priority: Cost) -> bool {
-        RadixHeap::push_or_decrease(self, key, priority)
-    }
-    #[inline]
-    fn redistributed(&self) -> u64 {
-        RadixHeap::redistributed(self)
-    }
-}
 
 /// Epoch-stamped distance/predecessor tables shared by every sweep.
 #[derive(Clone, Debug)]
@@ -185,7 +103,7 @@ impl SweepTables {
 }
 
 /// Reusable sweep state: epoch-stamped distance/predecessor tables plus
-/// both queue engines, dispatched by the workspace's [`QueueKind`].
+/// the sweep's radix queue.
 ///
 /// After a sweep the results stay readable from the workspace (via
 /// [`dist`](DijkstraWorkspace::dist) /
@@ -195,9 +113,7 @@ impl SweepTables {
 #[derive(Clone, Debug)]
 pub struct DijkstraWorkspace {
     pub(crate) tables: SweepTables,
-    pub(crate) kind: QueueKind,
-    pub(crate) binary: IndexedHeap<Cost>,
-    pub(crate) radix: RadixHeap,
+    pub(crate) queue: RadixHeap,
 }
 
 impl Default for DijkstraWorkspace {
@@ -207,50 +123,26 @@ impl Default for DijkstraWorkspace {
 }
 
 impl DijkstraWorkspace {
-    /// An empty workspace on the [`QueueKind::from_env`] engine; buffers
-    /// grow on first use.
+    /// An empty workspace; buffers grow on first use.
     pub fn new() -> DijkstraWorkspace {
         DijkstraWorkspace::with_capacity(0)
     }
 
-    /// A workspace pre-sized for graphs of up to `n` nodes, on the
-    /// [`QueueKind::from_env`] engine.
+    /// A workspace pre-sized for graphs of up to `n` nodes.
     pub fn with_capacity(n: usize) -> DijkstraWorkspace {
-        DijkstraWorkspace::with_queue(n, QueueKind::from_env())
-    }
-
-    /// A workspace pre-sized for `n` nodes on an explicit queue engine —
-    /// the knob differential tests and ablation benchmarks pin.
-    pub fn with_queue(n: usize, kind: QueueKind) -> DijkstraWorkspace {
         DijkstraWorkspace {
             tables: SweepTables::with_capacity(n),
-            kind,
-            binary: IndexedHeap::new(n),
-            radix: RadixHeap::new(n),
+            queue: RadixHeap::new(n),
         }
-    }
-
-    /// The queue engine this workspace runs sweeps on.
-    #[inline]
-    pub fn queue_kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// Starts a new sweep over an `n`-node graph: bumps the table epoch
     /// (an `O(1)` clear), grows the buffers if needed, and resets the
-    /// active queue engine.
+    /// queue.
     pub(crate) fn begin(&mut self, n: usize) {
         self.tables.begin(n);
-        match self.kind {
-            QueueKind::Radix => {
-                self.radix.ensure_capacity(n);
-                self.radix.clear();
-            }
-            QueueKind::Binary => {
-                self.binary.ensure_capacity(n);
-                self.binary.clear();
-            }
-        }
+        self.queue.ensure_capacity(n);
+        self.queue.clear();
     }
 
     /// Node count of the most recent sweep.
@@ -369,13 +261,5 @@ mod tests {
         let (d2, p2) = ws.into_tables();
         assert_eq!(d2, dist);
         assert_eq!(p2, parent);
-    }
-
-    #[test]
-    fn queue_kind_is_pinnable() {
-        let ws = DijkstraWorkspace::with_queue(4, QueueKind::Binary);
-        assert_eq!(ws.queue_kind(), QueueKind::Binary);
-        let ws = DijkstraWorkspace::with_queue(4, QueueKind::Radix);
-        assert_eq!(ws.queue_kind(), QueueKind::Radix);
     }
 }

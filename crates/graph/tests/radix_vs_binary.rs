@@ -1,13 +1,15 @@
-//! Differential battery: the radix-heap Dijkstra engine must agree with
-//! the binary-heap engine on every sweep family.
+//! Differential battery: the radix-heap Dijkstra engine must agree with a
+//! binary-heap reference Dijkstra on every sweep family.
 //!
-//! The two engines break ties among equal-priority queue entries
-//! differently, so *paths and parent pointers* may legitimately differ on
-//! tie-heavy instances. What is tie-independent — and therefore asserted
-//! bit-exactly across engines — is:
+//! The reference ([`binary_sweep`]) lives only in this file: a textbook
+//! Dijkstra on the decrease-key [`IndexedHeap`], written for clarity
+//! rather than speed. The two queues break ties among equal-priority
+//! entries differently, so *paths and parent pointers* may legitimately
+//! differ on tie-heavy instances. What is tie-independent — and therefore
+//! asserted bit-exactly — is:
 //!
 //! * the full distance table (hence the reached set),
-//! * local consistency of each engine's own parent tree
+//! * local consistency of each side's own parent tree
 //!   (`dist[v] == dist[parent(v)] + step cost`, root at the origin),
 //! * early-exit sweeps: the settled *prefix* depends on tie order, so
 //!   only the target's distance is compared.
@@ -20,10 +22,10 @@ use truthcast_graph::connectivity::is_connected;
 use truthcast_graph::dijkstra::{dijkstra_in, DijkstraOptions, Direction};
 use truthcast_graph::generators::{erdos_renyi, random_udg};
 use truthcast_graph::geometry::Region;
+use truthcast_graph::heap::IndexedHeap;
 use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
 use truthcast_graph::{
     Adjacency, Cost, DijkstraWorkspace, LinkWeightedDigraph, NodeId, NodeMask, NodeWeightedGraph,
-    QueueKind,
 };
 use truthcast_rt::{cases, forall, prop_assert, prop_assert_eq, subsequence, Strategy};
 use truthcast_rt::{Rng, SeedableRng, SmallRng};
@@ -38,42 +40,131 @@ fn small_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     })
 }
 
-/// A pair of workspaces pinned to the two engines.
-fn engine_pair(n: usize) -> (DijkstraWorkspace, DijkstraWorkspace) {
-    (
-        DijkstraWorkspace::with_queue(n, QueueKind::Radix),
-        DijkstraWorkspace::with_queue(n, QueueKind::Binary),
-    )
+/// A sweep's `(dist, parent)` tables.
+struct Tables {
+    dist: Vec<Cost>,
+    parent: Vec<Option<NodeId>>,
 }
 
-/// Asserts the two workspaces agree on every distance (and therefore on
-/// the reached set), and that each one's parent tree is locally
-/// consistent under `step(parent, v)` — the tie-independent contract.
+impl Tables {
+    fn of(ws: &DijkstraWorkspace) -> Tables {
+        let (mut dist, mut parent) = (Vec::new(), Vec::new());
+        ws.export_into(&mut dist, &mut parent);
+        Tables { dist, parent }
+    }
+
+    fn dist(&self, v: NodeId) -> Cost {
+        self.dist[v.index()]
+    }
+}
+
+/// The reference engine: Dijkstra from `origin` on a binary
+/// [`IndexedHeap`] with decrease-key. `steps(u)` lists the arcs `u → v`
+/// the sweep may relax, with their step costs (masks and removed edges
+/// already filtered out). Stops once `target` is settled.
+fn binary_sweep(
+    n: usize,
+    origin: NodeId,
+    origin_blocked: bool,
+    target: Option<NodeId>,
+    steps: impl Fn(NodeId) -> Vec<(NodeId, Cost)>,
+) -> Tables {
+    let mut t = Tables {
+        dist: vec![Cost::INF; n],
+        parent: vec![None; n],
+    };
+    let mut heap = IndexedHeap::new(n);
+    if !origin_blocked {
+        t.dist[origin.index()] = Cost::ZERO;
+        heap.push(origin.0, Cost::ZERO);
+    }
+    while let Some((key, du)) = heap.pop_min() {
+        let u = NodeId(key);
+        if Some(u) == target {
+            break;
+        }
+        for (v, w) in steps(u) {
+            let cand = du + w;
+            if cand < t.dist[v.index()] {
+                t.dist[v.index()] = cand;
+                t.parent[v.index()] = Some(u);
+                heap.push_or_update(v.0, cand);
+            }
+        }
+    }
+    t
+}
+
+/// Reference node-weighted sweep with the [`node_dijkstra_in`] contract.
+fn binary_node_sweep(
+    g: &NodeWeightedGraph,
+    origin: NodeId,
+    opts: NodeDijkstraOptions<'_>,
+) -> Tables {
+    let blocked = |v: NodeId| opts.avoid.is_some_and(|m| m.is_blocked(v));
+    binary_sweep(g.num_nodes(), origin, blocked(origin), opts.target, |u| {
+        g.neighbors(u)
+            .iter()
+            .filter(|&&v| !blocked(v))
+            .map(|&v| (v, g.cost(v)))
+            .collect()
+    })
+}
+
+/// Reference edge-weighted sweep with the [`dijkstra_in`] contract.
+fn binary_link_sweep(
+    g: &LinkWeightedDigraph,
+    origin: NodeId,
+    direction: Direction,
+    opts: DijkstraOptions<'_>,
+) -> Tables {
+    let blocked = |v: NodeId| opts.avoid.is_some_and(|m| m.is_blocked(v));
+    binary_sweep(g.num_nodes(), origin, blocked(origin), opts.target, |u| {
+        let row = match direction {
+            Direction::Forward => g.out_arcs(u),
+            Direction::Backward => g.in_arcs(u),
+        };
+        row.iter()
+            .filter(|a| !blocked(a.head) || Some(a.head) == opts.target)
+            .filter(|a| match opts.avoid_edge {
+                Some((x, y)) => (u, a.head) != (x, y) && (u, a.head) != (y, x),
+                None => true,
+            })
+            .map(|a| (a.head, a.weight))
+            .collect()
+    })
+}
+
+/// Asserts the radix sweep and the reference agree on every distance (and
+/// therefore on the reached set), and that each one's parent tree is
+/// locally consistent under `step(parent, v)` — the tie-independent
+/// contract.
 fn assert_sweeps_agree(
     radix: &DijkstraWorkspace,
-    binary: &DijkstraWorkspace,
+    binary: &Tables,
     n: usize,
     origin: NodeId,
     step: impl Fn(NodeId, NodeId) -> Cost,
 ) {
+    let radix = Tables::of(radix);
     for v in (0..n).map(NodeId::new) {
         assert_eq!(radix.dist(v), binary.dist(v), "dist({v}) diverges");
     }
-    for ws in [radix, binary] {
+    for t in [&radix, binary] {
         for v in (0..n).map(NodeId::new) {
-            match ws.parent(v) {
+            match t.parent[v.index()] {
                 Some(p) => {
-                    assert!(ws.dist(p).is_finite(), "parent of {v} unreached");
+                    assert!(t.dist(p).is_finite(), "parent of {v} unreached");
                     assert_eq!(
-                        ws.dist(v),
-                        ws.dist(p) + step(p, v),
+                        t.dist(v),
+                        t.dist(p) + step(p, v),
                         "parent tree inconsistent at {v}"
                     );
                 }
                 None => {
                     // Only the origin and unreached nodes lack a parent.
                     assert!(
-                        v == origin || ws.dist(v).is_inf(),
+                        v == origin || t.dist(v).is_inf(),
                         "reached non-origin {v} has no parent"
                     );
                 }
@@ -105,10 +196,11 @@ fn node_sweeps_agree_with_and_without_masks() {
         let modulus = if seed % 2 == 1 { 4 } else { 50 };
         let costs: Vec<u64> = (0..n).map(|_| next() % modulus).collect();
         let g = NodeWeightedGraph::from_pairs_units(&edges, &costs);
+        let mut radix = DijkstraWorkspace::with_capacity(n);
         for origin in (0..n).map(NodeId::new) {
-            let (mut radix, mut binary) = engine_pair(n);
-            node_dijkstra_in(&mut radix, &g, origin, NodeDijkstraOptions::default());
-            node_dijkstra_in(&mut binary, &g, origin, NodeDijkstraOptions::default());
+            let opts = NodeDijkstraOptions::default();
+            node_dijkstra_in(&mut radix, &g, origin, opts);
+            let binary = binary_node_sweep(&g, origin, opts);
             assert_sweeps_agree(&radix, &binary, n, origin, |_, v| g.cost(v));
 
             // Masked relay removal: block one non-origin node.
@@ -119,7 +211,7 @@ fn node_sweeps_agree_with_and_without_masks() {
                 target: None,
             };
             node_dijkstra_in(&mut radix, &g, origin, opts);
-            node_dijkstra_in(&mut binary, &g, origin, opts);
+            let binary = binary_node_sweep(&g, origin, opts);
             for v in (0..n).map(NodeId::new) {
                 prop_assert_eq!(radix.dist(v), binary.dist(v));
             }
@@ -149,23 +241,12 @@ fn link_sweeps_agree_in_both_directions() {
             })
             .collect();
         let g = LinkWeightedDigraph::from_arcs(n, arcs);
+        let mut radix = DijkstraWorkspace::with_capacity(n);
         for direction in [Direction::Forward, Direction::Backward] {
             let origin = NodeId(0);
-            let (mut radix, mut binary) = engine_pair(n);
-            dijkstra_in(
-                &mut radix,
-                &g,
-                origin,
-                direction,
-                DijkstraOptions::default(),
-            );
-            dijkstra_in(
-                &mut binary,
-                &g,
-                origin,
-                direction,
-                DijkstraOptions::default(),
-            );
+            let opts = DijkstraOptions::default();
+            dijkstra_in(&mut radix, &g, origin, direction, opts);
+            let binary = binary_link_sweep(&g, origin, direction, opts);
             let step = |p: NodeId, v: NodeId| match direction {
                 Direction::Forward => g.arc_cost(p, v),
                 Direction::Backward => g.arc_cost(v, p),
@@ -179,9 +260,8 @@ fn link_sweeps_agree_in_both_directions() {
                 avoid_edge: Some((NodeId(u), NodeId(v))),
                 target: None,
             };
-            let (mut radix, mut binary) = engine_pair(n);
             dijkstra_in(&mut radix, &g, NodeId(0), Direction::Forward, opts);
-            dijkstra_in(&mut binary, &g, NodeId(0), Direction::Forward, opts);
+            let binary = binary_link_sweep(&g, NodeId(0), Direction::Forward, opts);
             for w in (0..n).map(NodeId::new) {
                 prop_assert_eq!(radix.dist(w), binary.dist(w));
             }
@@ -201,14 +281,14 @@ fn early_exit_targets_agree() {
         let mut next = lcg(seed ^ 0x5EED);
         let costs: Vec<u64> = (0..n).map(|_| next() % 6).collect();
         let g = NodeWeightedGraph::from_pairs_units(&edges, &costs);
-        let (mut radix, mut binary) = engine_pair(n);
+        let mut radix = DijkstraWorkspace::with_capacity(n);
         for t in (1..n).map(NodeId::new) {
             let opts = NodeDijkstraOptions {
                 avoid: None,
                 target: Some(t),
             };
             node_dijkstra_in(&mut radix, &g, NodeId(0), opts);
-            node_dijkstra_in(&mut binary, &g, NodeId(0), opts);
+            let binary = binary_node_sweep(&g, NodeId(0), opts);
             prop_assert_eq!(radix.dist(t), binary.dist(t));
             node_dijkstra_in(&mut radix, &g, NodeId(0), NodeDijkstraOptions::default());
             prop_assert_eq!(radix.dist(t), binary.dist(t));
@@ -249,10 +329,11 @@ fn check_wireless_instance(adj: Adjacency, rng: &mut SmallRng) {
         .map(|_| Cost::from_micros(rng.gen_range(0u64..100_000_000)))
         .collect();
     let g = NodeWeightedGraph::new(adj, costs);
-    let (mut radix, mut binary) = engine_pair(n);
+    let mut radix = DijkstraWorkspace::with_capacity(n);
     for origin in [NodeId(0), NodeId::new(n / 2), NodeId::new(n - 1)] {
-        node_dijkstra_in(&mut radix, &g, origin, NodeDijkstraOptions::default());
-        node_dijkstra_in(&mut binary, &g, origin, NodeDijkstraOptions::default());
+        let opts = NodeDijkstraOptions::default();
+        node_dijkstra_in(&mut radix, &g, origin, opts);
+        let binary = binary_node_sweep(&g, origin, opts);
         assert_sweeps_agree(&radix, &binary, n, origin, |_, v| g.cost(v));
     }
 }

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 
 use truthcast_core::delta::EpochOutcome;
 use truthcast_core::UnicastPricing;
-use truthcast_graph::{NodeId, NodeMap, NodeWeightedGraph, QueueKind};
+use truthcast_graph::{NodeId, NodeMap, NodeWeightedGraph};
 use truthcast_rt::{default_threads, par_map};
 
 use crate::epoch::{ApSnapshot, EpochCell, ServiceSnapshot};
@@ -48,9 +48,6 @@ pub struct ServiceConfig {
     /// Bounded admission-queue capacity per shard; sessions settling on
     /// a full shard are shed.
     pub queue_capacity: usize,
-    /// Priority-queue engine handed to every shard's
-    /// [`IncrementalEngine`](truthcast_core::delta::IncrementalEngine).
-    pub kind: QueueKind,
     /// Damage threshold override for the shard engines (fraction of n
     /// above which an epoch's repair falls back to a cold sweep).
     /// `None` keeps the engine default / `TRUTHCAST_DELTA_THRESHOLD`.
@@ -60,14 +57,13 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config with `aps`, default threads, an effectively unbounded
-    /// queue, and the process-default queue engine.
+    /// A config with `aps`, default threads, and an effectively unbounded
+    /// queue.
     pub fn new(aps: Vec<NodeId>) -> ServiceConfig {
         ServiceConfig {
             aps,
             threads: default_threads(),
             queue_capacity: usize::MAX,
-            kind: QueueKind::from_env(),
             damage_threshold: None,
         }
     }
@@ -81,12 +77,6 @@ impl ServiceConfig {
     /// Sets the per-shard bounded-queue capacity.
     pub fn queue_capacity(mut self, capacity: usize) -> ServiceConfig {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the priority-queue engine.
-    pub fn queue_kind(mut self, kind: QueueKind) -> ServiceConfig {
-        self.kind = kind;
         self
     }
 
@@ -206,7 +196,6 @@ impl PaymentService {
                     ap,
                     i,
                     warm_threads,
-                    cfg.kind,
                     cfg.damage_threshold,
                     cfg.queue_capacity,
                     Arc::clone(&cell),

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
-use truthcast_graph::{NodeId, NodeMap, NodeWeightedGraph, QueueKind};
+use truthcast_graph::{NodeId, NodeMap, NodeWeightedGraph};
 
 use crate::epoch::{ApCell, ApSnapshot, EpochCell};
 use crate::service::Settlement;
@@ -50,12 +50,11 @@ impl Shard {
         ap: NodeId,
         index: usize,
         threads: usize,
-        kind: QueueKind,
         damage_threshold: Option<f64>,
         capacity: usize,
         cell: Arc<EpochCell>,
     ) -> Shard {
-        let mut engine = IncrementalEngine::with_queue(threads, kind);
+        let mut engine = IncrementalEngine::with_threads(threads);
         if let Some(t) = damage_threshold {
             engine.set_damage_threshold(t);
         }

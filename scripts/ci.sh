@@ -8,14 +8,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo test -q --offline"
-cargo test -q --offline
-
-# The line above tests the root package only. The service crate's
-# batteries (epoch swaps under concurrent readers, all-or-nothing
-# publication, anycast settlement vs the library) take seconds.
-echo "==> cargo test -q --offline -p truthcast-service"
-cargo test -q --offline -p truthcast-service
+# Every workspace member: the root package's end-to-end suite plus each
+# crate's own batteries (graph, core, service, distsim, obs, protocol,
+# ...), at the fast case counts baked into the tests.
+echo "==> cargo test -q --offline --workspace"
+cargo test -q --offline --workspace
 
 # Bench smoke test: compile every bench target and run one short sample
 # of each into a scratch dir — no thresholds, just "the suite still runs
@@ -83,7 +80,7 @@ echo "==> pipebench unit tests"
 cargo test -q --offline --manifest-path pipebench/Cargo.toml
 
 # TRUTHCAST_CI_HEAVY=1 re-runs the differential batteries at an elevated
-# case count (the default run above already includes them at the fast
+# case count (the workspace run above already includes them at the fast
 # count baked into the tests).
 if [ "${TRUTHCAST_CI_HEAVY:-0}" != "0" ]; then
     echo "==> heavy differential battery (TRUTHCAST_CASES=256)"
