@@ -89,8 +89,9 @@
 //!
 //! Observability: `core.delta.{deltas,dirty_nodes,repaired_slices,
 //! fallbacks,cold_resizes,warm_resizes,born,died,reuses,subtree_runs,
-//! row_repairs,row_rebuilds}` counters — all registered at engine
-//! construction so quiet runs print explicit zeros — plus
+//! row_repairs,row_rebuilds,row_members_recomputed,row_seeds}` counters
+//! — all registered at engine construction so quiet runs print explicit
+//! zeros — plus
 //! `core.delta.repair` and `core.delta.resize` spans (exported as
 //! `span.core.delta.*_ns`). Audit records are
 //! emitted for every source the epoch actually re-prices; reused sources
@@ -561,6 +562,8 @@ impl IncrementalEngine {
             "core.delta.subtree_runs",
             "core.delta.row_repairs",
             "core.delta.row_rebuilds",
+            "core.delta.row_members_recomputed",
+            "core.delta.row_seeds",
         ] {
             truthcast_obs::register(name);
         }
@@ -1615,6 +1618,7 @@ fn repair_row(
             via[y.index()] = via_old[y.index()];
         }
     }
+    truthcast_obs::add("core.delta.row_members_recomputed", invalid as u64);
     if invalid > 0 {
         for &y in members.iter() {
             if flag[y.index()] & INVALID == 0 {
