@@ -197,8 +197,14 @@ pub(crate) struct DetourScratch {
     pub(crate) via: Vec<u32>,
 }
 
-/// Sentinel `via` entry: the member's value is supported directly by its
-/// best escape arc, not by another slice member.
+/// Tag bit of a `via` entry naming an escape: `ESC_TAG | w` means the
+/// member's value is supported directly by its escape arc to `w`, not
+/// by another slice member (node indices stay below `2^31`).
+pub(crate) const ESC_TAG: u32 = 1 << 31;
+
+/// Sentinel `via` entry: no support is known — the member is
+/// unreachable without the relay, or its escape target departed in a
+/// resize.
 pub(crate) const ESC_VIA: u32 = u32::MAX;
 
 impl DetourScratch {
@@ -225,9 +231,10 @@ pub(crate) fn detour_run<M: DetourModel>(
 }
 
 /// [`detour_run`] plus the support forest: `vias[i]` is the slice member
-/// the `i`-th member's final value relaxed through, or [`ESC_VIA`] when
-/// its best escape seeded it directly. The forest lets the delta engine
-/// re-validate cached rows member-by-member across epochs.
+/// the `i`-th member's final value relaxed through, `ESC_TAG | w` when
+/// its best escape (to `w`) seeded it directly, or [`ESC_VIA`] when it
+/// is unreachable. The forest lets the delta engine re-certify cached
+/// rows member-by-member across epochs.
 pub(crate) fn detour_run_via<M: DetourModel>(
     m: &M,
     dist: &[Cost],
@@ -254,16 +261,19 @@ fn detour_run_impl<M: DetourModel, const VIA: bool>(
     // first step that leaves subtree(x) lands at a node whose own tree
     // path avoids x, so the optimal suffix is the unconstrained R'.
     for &y in members {
-        let mut esc = Cost::INF;
+        let (mut esc, mut target) = (Cost::INF, ESC_VIA);
         m.arcs_from(y, |w, arc| {
             scans += 1;
             if !iv.is_ancestor(x, w) {
-                esc = esc.min(m.onward(arc, dist[w.index()]));
+                let c = m.onward(arc, dist[w.index()]);
+                if c < esc {
+                    (esc, target) = (c, ESC_TAG | w.0);
+                }
             }
         });
         dval[y.index()] = esc;
         if VIA {
-            via[y.index()] = ESC_VIA;
+            via[y.index()] = target;
         }
         if esc.is_finite() {
             heap.push(y.0, esc);

@@ -33,27 +33,34 @@
 //!    tree; everything the run settled is recorded in a *touched* set.
 //! 4. **Re-price.** The per-relay detour rows (`F(y) = ‖P_{-x}(y, ap)‖`,
 //!    the same restricted runs as the cold engine) are cached across
-//!    epochs together with their *support forest* (which neighbor — or
-//!    direct escape — each member's value relaxed through). A row can
-//!    only change if the delta reached the relay's subtree: its members'
-//!    costs or arcs, a crossing arc, or a crossing arc's escape
-//!    distance. All of those imply a touched node, a neighbor of one, or
-//!    a changed-arc endpoint *inside the subtree*, so the relays that
-//!    are new-tree ancestors of that seed set form a conservative re-run
-//!    set — and each such row is **repaired**, not recomputed: members
-//!    whose support chain avoids the primitive damage set (distance
-//!    *values* that moved, declared-cost changes, changed-arc endpoints,
-//!    and neighbors of nodes whose tree path moved) keep their cached
-//!    value, everything else is re-seeded and settled by a restricted
-//!    Dijkstra bordered by the intact members ([`repair_row`]'s header
-//!    gives the exactness argument). Sources are then selected
-//!    individually: the subtrees of maximal touched nodes (their root
-//!    path moved), the members whose row diff shows an `F` value
-//!    actually changed, and the sources whose tie-ambiguity mark
-//!    flipped. Everyone else's pricing is reused verbatim. Tie-ambiguous
-//!    (fallback) sources are re-priced through the per-session pipeline
-//!    **every** epoch: their reported path hangs on global sweep
-//!    tie-breaking, which any remote change may flip.
+//!    epochs together with their *support forest*: the member each value
+//!    relaxed through, or the escape target `w` it left the subtree to.
+//!    A row can only change if the delta reached the relay's subtree:
+//!    its members' costs or arcs, a crossing arc, or a crossing arc's
+//!    escape distance. All of those imply a touched node, a neighbor of
+//!    one, or a changed-arc endpoint *inside the subtree*, so the relays
+//!    that are new-tree ancestors of that seed set form a conservative
+//!    re-run set — and each such row is **repaired**, not recomputed.
+//!    A member keeps its cached value iff its own *certificate* still
+//!    holds: it stayed in the slice, its cost did not change, and its
+//!    support step survives (the supporting member is still in the slice
+//!    and kept, or the escape target is still outside it at the same
+//!    distance, over an arc that still exists). A certificate proves the
+//!    kept value is still achievable; the only paths that can beat it
+//!    start at an escape that got better — a target whose distance
+//!    dropped, that left the subtree, or whose arc is new — and each of
+//!    those arrives as a **per-row seed**, offered only to the rows that
+//!    hold the member but not the target. Everything uncertified is
+//!    re-seeded from its escapes and settled by one restricted Dijkstra
+//!    bordered by the kept members ([`repair_row`]'s header gives the
+//!    exactness argument). Sources are then selected individually: the
+//!    subtrees of maximal touched nodes (their root path moved), the
+//!    members whose `F` value a repaired row reports as changed, and
+//!    the sources whose tie-ambiguity mark flipped. Everyone else's
+//!    pricing is reused verbatim. Tie-ambiguous (fallback) sources are
+//!    re-priced through the per-session pipeline **every** epoch: their
+//!    reported path hangs on global sweep tie-breaking, which any remote
+//!    change may flip.
 //! 5. **Damage threshold.** When the dirty region plus seed set exceeds
 //!    `threshold × n` the engine falls back to the cold pipeline — repair
 //!    has no asymptotic edge once most of the tree is damaged. The knob
@@ -71,8 +78,8 @@
 //! [`SubtreeIntervals::remap`] — then runs the *same* pipeline:
 //! survivors whose tree parent died become severed slice roots (dirty),
 //! newborn arcs arrive as decrease seeds, and survivors that neighbored
-//! a departed node join both the re-run seed set and the primitive
-//! row-damage set. Preorder slices list siblings in index order, so a
+//! a departed node join the re-run seed set and lose every row
+//! certificate. Preorder slices list siblings in index order, so a
 //! renumbering that reverses two siblings reorders every ancestor slice
 //! without changing the tree; those parents join the re-run seed set,
 //! which re-keys their ancestors' cached rows by node identity. The
@@ -118,7 +125,7 @@ use truthcast_mechanism::vcg::vcg_payment_selected;
 use truthcast_rt::{default_threads, par_map_with};
 
 use crate::all_sources::{
-    classify, detour_run_via, tree_path, DetourModel, DetourScratch, SharedSweep, ESC_VIA,
+    classify, detour_run_via, tree_path, DetourModel, DetourScratch, SharedSweep, ESC_TAG, ESC_VIA,
 };
 use crate::batch::{price_node_session, SessionQuery, WorkerScratch};
 use crate::pricing::UnicastPricing;
@@ -308,8 +315,8 @@ pub struct MappedDelta {
     /// Surviving nodes (new indices, ascending, deduped) that had an arc
     /// to a departed node in the old graph. Their escapes, support
     /// chains, and re-run seeding all potentially routed through the
-    /// departed neighbor, so they join both the relay re-run seed set
-    /// and the primitive row-damage set.
+    /// departed neighbor, so they join the relay re-run seed set and
+    /// lose every detour-row certificate.
     pub dead_adjacent: Vec<NodeId>,
     /// Number of newborn nodes.
     pub born: usize,
@@ -525,8 +532,8 @@ pub struct IncrementalEngine {
     prev: Option<(NodeWeightedGraph, NodeId)>,
     touched: Vec<bool>,
     /// Pre-repair snapshots of the distance and parent tables, taken at
-    /// the top of every repair epoch: the row-damage sets compare against
-    /// them to tell *value* changes from mere re-settles.
+    /// the top of every repair epoch: the row seeds compare against them
+    /// to find distance drops and nodes whose root path moved.
     old_dist: Vec<Cost>,
     old_parent: Vec<Option<NodeId>>,
     last_outcome: EpochOutcome,
@@ -753,8 +760,9 @@ impl IncrementalEngine {
     /// classify the mapped delta (departed tree parents become severed
     /// slice roots), then repair and re-price exactly as a same-node-set
     /// epoch — with the dead-adjacent survivors added to the relay
-    /// re-run seed set and the row-damage set, and the parents whose
-    /// children the renumbering reordered added to the re-run seed set.
+    /// re-run seed set and stripped of their row certificates, and the
+    /// parents whose children the renumbering reordered added to the
+    /// re-run seed set.
     fn warm_resize(
         &mut self,
         g: &NodeWeightedGraph,
@@ -840,9 +848,10 @@ impl IncrementalEngine {
     /// * detour rows — compacted member-by-member against the old slice
     ///   order, which [`SubtreeIntervals::remap`] preserves; surviving
     ///   vias are renumbered, vias through a departed member collapse to
-    ///   [`ESC_VIA`]. That collapse is safe: such a member neighbored a
-    ///   departed node, so it is in `dead_adjacent` and lands in the
-    ///   primitive damage set before any via of its is dereferenced.
+    ///   [`ESC_VIA`], as do escapes to a departed target. That collapse
+    ///   is safe: such a member neighbored a departed node, so it is in
+    ///   `dead_adjacent`, and its certificate fails before any via of
+    ///   its is dereferenced.
     /// * cached pricings — survivors keep their entry with every id
     ///   renumbered; an entry referencing a departed node is dropped.
     ///   Also safe: a non-fallback source's cached path is its tree
@@ -914,10 +923,11 @@ impl IncrementalEngine {
                     continue;
                 }
                 nvals.push(vals[k]);
+                let (tag, v) = (vias[k] & ESC_TAG, vias[k] & !ESC_TAG);
                 nvias.push(if vias[k] == ESC_VIA {
                     ESC_VIA
                 } else {
-                    map.to_new(NodeId(vias[k])).map_or(ESC_VIA, |nv| nv.0)
+                    map.to_new(NodeId(v)).map_or(ESC_VIA, |nv| tag | nv.0)
                 });
             }
             rows[nx.index()] = nvals;
@@ -1076,7 +1086,8 @@ impl IncrementalEngine {
     ///
     /// * `extra_damage` names survivors that neighbored a departed node:
     ///   their escapes and support chains may have routed through it, so
-    ///   they join both the seed set A and the primitive damage set G.
+    ///   they join the seed set A and no row certificate through them
+    ///   holds.
     /// * `reordered` names parents whose children the renumbering put in
     ///   a new relative order. A slice lists siblings in index order, so
     ///   the slice of such a parent and of every ancestor changes order
@@ -1158,106 +1169,72 @@ impl IncrementalEngine {
                 self.row_stale[x.index()] = true;
             }
         }
-        // Primitive row-damage set: a cached F value's support chain is
-        // only suspect where it crosses one of these nodes. Distance
-        // *value* changes invalidate neighboring escapes; declared-cost
-        // changes alter a node's outgoing detour arcs (the node model
-        // charges `c_y` stepping back through `y`); added/removed arcs
-        // damage both endpoints; and every neighbor of a node whose tree
-        // path moved may see its crossing-vs-internal classification
-        // flip.
-        let mut in_g = vec![false; n];
-        for v in 0..n {
-            if self.old_dist[v] != self.dist[v] {
-                in_g[v] = true;
-                for &w in g.neighbors(NodeId(v as u32)) {
-                    in_g[w.index()] = true;
-                }
-            }
-        }
+        // Per-node certificate flags (see `repair_row`): a declared-cost
+        // change or a departed neighbour voids every certificate through
+        // a node; a removed arc makes a certificate step out of its
+        // endpoints check that its own arc survived.
+        let mut node_flag = vec![0u8; n];
         for &(c, _, _) in &delta.costs_changed {
-            in_g[c.index()] = true;
-            for &w in g.neighbors(c) {
-                in_g[w.index()] = true;
-            }
-        }
-        for &(u, v) in delta.edges_added.iter().chain(&delta.edges_removed) {
-            in_g[u.index()] = true;
-            in_g[v.index()] = true;
+            node_flag[c.index()] |= STALE;
         }
         for &v in extra_damage {
-            in_g[v.index()] = true;
+            node_flag[v.index()] |= STALE;
         }
-        // Movers: everything below a changed parent link, in either tree
-        // (interval coverage skips nested roots, keeping this linear).
-        let mut moved = vec![false; n];
-        let movers: Vec<NodeId> = (0..n)
-            .filter(|&v| self.old_parent[v] != self.parent[v])
-            .map(|v| NodeId(v as u32))
-            .collect();
-        for tree in [&shared.iv, &old_shared.iv] {
-            let mut roots: Vec<NodeId> = movers
-                .iter()
-                .copied()
-                .filter(|&q| tree.in_tree(q))
-                .collect();
-            roots.sort_by_key(|&q| tree.enter(q));
-            let mut bound = 0u32;
-            for &q in &roots {
-                let e = tree.enter(q).expect("filtered to in-tree");
-                if e < bound {
-                    continue;
-                }
-                let slice = tree.subtree(q);
-                bound = e + slice.len() as u32;
-                for &y in slice {
-                    moved[y.index()] = true;
-                }
-            }
-        }
-        for (v, &m) in moved.iter().enumerate() {
-            if m {
-                for &w in g.neighbors(NodeId(v as u32)) {
-                    in_g[w.index()] = true;
-                }
-            }
+        for &(u, v) in &delta.edges_removed {
+            node_flag[u.index()] |= CUT;
+            node_flag[v.index()] |= CUT;
         }
 
         // An un-stale row is aligned with the previous intervals (any
         // structural change to its slice refreshed it that epoch), so it
         // can be *repaired* member-by-member instead of recomputed.
-        let usable: Vec<bool> = xs
-            .iter()
-            .map(|&x| {
-                !self.row_stale[x.index()]
-                    && old_shared.iv.in_tree(x)
-                    && old_shared.iv.subtree(x).len() == self.rows[x.index()].len() + 1
-            })
-            .collect();
+        let mut rank = vec![NO_RANK; n];
+        let mut repairs = 0usize;
+        for (i, &x) in xs.iter().enumerate() {
+            if !self.row_stale[x.index()]
+                && old_shared.iv.in_tree(x)
+                && old_shared.iv.subtree(x).len() == self.rows[x.index()].len() + 1
+            {
+                rank[x.index()] = i as u32;
+                repairs += 1;
+            }
+        }
         let results = {
             let _s = truthcast_obs::span("delta.subtree_runs");
+            let seeds = self.collect_seeds(g, delta, &shared.iv, &old_shared.iv, &rank);
             let dist = &self.dist;
             let iv = &shared.iv;
             let old_iv = &old_shared.iv;
             let rows = &self.rows;
             let row_via = &self.row_via;
-            let (in_g, usable) = (&in_g, &usable);
-            let repairs = usable.iter().filter(|&&u| u).count();
+            let (node_flag, rank) = (&node_flag, &rank);
             truthcast_obs::add("core.delta.subtree_runs", xs.len() as u64);
             truthcast_obs::add("core.delta.row_repairs", repairs as u64);
             truthcast_obs::add("core.delta.row_rebuilds", (xs.len() - repairs) as u64);
+            truthcast_obs::add("core.delta.row_seeds", seeds.len() as u64);
             par_map_with(
                 xs.len(),
                 self.threads,
                 || RowScratch::new(n),
                 |sc, i| {
                     let x = xs[i];
-                    if usable[i] {
-                        let xi = x.index();
-                        repair_row(g, dist, iv, old_iv, x, &rows[xi], &row_via[xi], in_g, sc)
-                    } else {
-                        detour_run_via(g, dist, iv, x, &mut sc.det)
+                    let xi = x.index();
+                    if rank[xi] == NO_RANK {
+                        let (vals, vias, _, _) = detour_run_via(g, dist, iv, x, &mut sc.det);
+                        return RowOutcome {
+                            vals,
+                            vias,
+                            changed: None,
+                            recomputed: 0,
+                        };
                     }
+                    let r = i as u32;
+                    let row_seeds = &seeds
+                        [seeds.partition_point(|s| s.0 < r)..seeds.partition_point(|s| s.0 <= r)];
+                    let (old_vals, old_vias) = (&rows[xi][..], &row_via[xi][..]);
+                    repair_row(
+                        g, dist, iv, old_iv, x, old_vals, old_vias, node_flag, row_seeds, sc,
+                    )
                 },
             )
         };
@@ -1291,40 +1268,29 @@ impl IncrementalEngine {
             }
         }
 
-        // (2) Row diffs, keyed by node identity: a recomputed relay row
-        // only invalidates the sources whose F value actually moved. An
-        // un-stale cached row is aligned with the *previous* intervals —
-        // any structural change to `subtree(x)` since the row was
-        // computed put `x` in that epoch's R and refreshed it — so the
-        // old slice maps old entries back to nodes. Rows without a
-        // usable baseline conservatively mark their whole slice.
-        let mut stamp = vec![0u32; n];
-        let mut old_f = vec![Cost::ZERO; n];
-        let mut epoch_mark = 0u32;
-        for ((&x, usable_old), (new_vals, _, _, _)) in xs.iter().zip(&usable).zip(&results) {
-            let xi = x.index();
-            if *usable_old {
-                epoch_mark += 1;
-                for (i, &y) in old_shared.iv.subtree(x)[1..].iter().enumerate() {
-                    stamp[y.index()] = epoch_mark;
-                    old_f[y.index()] = self.rows[xi][i];
-                }
-                for (i, &y) in shared.iv.subtree(x)[1..].iter().enumerate() {
-                    if stamp[y.index()] != epoch_mark || old_f[y.index()] != new_vals[i] {
+        // (2) Row changes: a repaired row reports the members whose F
+        // value moved (or that joined its slice); a rebuilt row has no
+        // baseline and marks its whole slice.
+        let mut recomputed = 0usize;
+        for (&x, row) in xs.iter().zip(results) {
+            match &row.changed {
+                Some(changed) => {
+                    for &y in changed {
                         sel[y.index()] = true;
                     }
                 }
-            } else {
-                for &y in &shared.iv.subtree(x)[1..] {
-                    sel[y.index()] = true;
+                None => {
+                    for &y in &shared.iv.subtree(x)[1..] {
+                        sel[y.index()] = true;
+                    }
                 }
             }
-        }
-        for (&x, (new_vals, new_vias, _, _)) in xs.iter().zip(results) {
-            self.rows[x.index()] = new_vals;
-            self.row_via[x.index()] = new_vias;
+            recomputed += row.recomputed;
+            self.rows[x.index()] = row.vals;
+            self.row_via[x.index()] = row.vias;
             self.row_stale[x.index()] = false;
         }
+        truthcast_obs::add("core.delta.row_members_recomputed", recomputed as u64);
 
         // (3) Ambiguity flips: a source that switched between the
         // shared-sweep path and the per-session fallback needs its entry
@@ -1342,6 +1308,132 @@ impl IncrementalEngine {
         let repriced = self.assemble(g, ap, &shared, &sel);
         self.shared = Some(shared);
         repriced
+    }
+
+    /// This epoch's per-row decrease seeds in one flat list of `(row,
+    /// member, target)`, sorted so each row's seeds are contiguous. A
+    /// row is named by its position `i` among the re-run relays, which
+    /// `rank` maps (`rank[x] = i` for a repaired row `x`, [`NO_RANK`]
+    /// otherwise).
+    ///
+    /// A kept member's cached value was a minimum over the previous
+    /// epoch's escapes, so only an escape that got *better* can undercut
+    /// it: a target whose distance dropped, a target that left the row's
+    /// subtree (it was internal before), or the far end of an added arc.
+    /// Each is offered to the rows holding the member but not the
+    /// target — the new-tree ancestors of the member strictly below its
+    /// first common ancestor with the target — where it beats the
+    /// member's cached value. An added arc inside a row re-queues both
+    /// endpoints instead ([`PUSH_SEED`]), so the row's Dijkstra relaxes
+    /// across it. (The AP holds no row: its rank is always [`NO_RANK`].)
+    fn collect_seeds(
+        &self,
+        g: &NodeWeightedGraph,
+        delta: &GraphDelta,
+        iv: &SubtreeIntervals,
+        old_iv: &SubtreeIntervals,
+        rank: &[u32],
+    ) -> Vec<(u32, u32, u32)> {
+        let n = g.num_nodes();
+        let (dist, parent, rows) = (&self.dist, &self.parent, &self.rows);
+        let mut seeds: Vec<(u32, u32, u32)> = Vec::new();
+
+        // Movers: a node can only leave a slice if some link on its
+        // previous root path changed, so mark every node below a changed
+        // parent link in the previous tree (interval coverage skips
+        // nested roots, keeping this linear).
+        let mut moved = vec![false; n];
+        let mut roots: Vec<NodeId> = (0..n)
+            .filter(|&v| self.old_parent[v] != parent[v])
+            .map(|v| NodeId(v as u32))
+            .filter(|&q| old_iv.in_tree(q))
+            .collect();
+        roots.sort_by_key(|&q| old_iv.enter(q));
+        let mut bound = 0u32;
+        for &q in &roots {
+            let e = old_iv.enter(q).expect("filtered to in-tree");
+            if e < bound {
+                continue;
+            }
+            let slice = old_iv.subtree(q);
+            bound = e + slice.len() as u32;
+            for &y in slice {
+                moved[y.index()] = true;
+            }
+        }
+
+        // Offers member `y` the escape to `w` in every repaired row that
+        // holds `y` but not `w`: the new-tree ancestors of `y` up to, but
+        // not including, its first common ancestor with `w` (at the
+        // latest the AP, an ancestor of every reachable `w`). With
+        // `left_only`, only rows whose previous slice held `w` qualify.
+        // An offer matters only below the member's cached value: a
+        // member new to the slice, or one whose certificate fails, scans
+        // its own escapes anyway.
+        let offer = |y: NodeId, w: NodeId, left_only: bool, seeds: &mut Vec<(u32, u32, u32)>| {
+            if !iv.in_tree(y) {
+                return;
+            }
+            let c = dist[w.index()];
+            let mut cur = parent[y.index()];
+            while let Some(x) = cur.filter(|&x| !iv.is_ancestor(x, w)) {
+                let r = rank[x.index()];
+                if r != NO_RANK && (!left_only || old_iv.is_ancestor(x, w)) {
+                    let cached = old_iv
+                        .slice_offset(x, y)
+                        .map(|off| rows[x.index()][off - 1]);
+                    if cached.is_some_and(|f| c < f) {
+                        seeds.push((r, y.0, w.0));
+                    }
+                }
+                cur = parent[x.index()];
+            }
+        };
+        for v in 0..n {
+            let dropped = dist[v] < self.old_dist[v];
+            if !(dropped || moved[v]) || !dist[v].is_finite() {
+                continue;
+            }
+            // A mover whose distance held or rose only beats the old
+            // minimum in the rows it left.
+            let w = NodeId(v as u32);
+            for &y in g.neighbors(w) {
+                offer(y, w, !dropped, &mut seeds);
+            }
+        }
+        for &(u, v) in &delta.edges_added {
+            if dist[v.index()].is_finite() {
+                offer(u, v, false, &mut seeds);
+            }
+            if dist[u.index()].is_finite() {
+                offer(v, u, false, &mut seeds);
+            }
+            if !(iv.in_tree(u) && iv.in_tree(v)) {
+                continue;
+            }
+            // Rows holding both endpoints: strict ancestors of both.
+            let mut lca = u;
+            while !iv.is_ancestor(lca, v) {
+                lca = parent[lca.index()].expect("an in-tree node below the AP has a parent");
+            }
+            let mut cur = if lca == u || lca == v {
+                parent[lca.index()]
+            } else {
+                Some(lca)
+            };
+            while let Some(x) = cur {
+                let r = rank[x.index()];
+                if r != NO_RANK {
+                    seeds.push((r, u.0, PUSH_SEED));
+                    seeds.push((r, v.0, PUSH_SEED));
+                }
+                cur = parent[x.index()];
+            }
+        }
+
+        // Sorting by the whole tuple keeps the order deterministic.
+        seeds.sort_unstable();
+        seeds
     }
 
     /// Recomputes the detour rows for `xs` (sharded, scattered in index
@@ -1492,12 +1584,25 @@ fn remap_pricing(p: &UnicastPricing, map: &NodeMap) -> Option<UnicastPricing> {
     })
 }
 
+/// `node_flag` bit: the node's declared cost changed, or it neighboured
+/// a node that departed in a resize — no certificate through it holds.
+const STALE: u8 = 1;
+/// `node_flag` bit: the node lost an arc, so a certificate step out of
+/// it checks that its own arc survived.
+const CUT: u8 = 2;
+/// Seed target meaning "re-queue the member at its current value".
+const PUSH_SEED: u32 = u32::MAX;
+/// `rank` entry of a row that is not repaired this epoch.
+const NO_RANK: u32 = u32::MAX;
+
 /// `flag` bit: the node appeared in the relay's previous-epoch slice.
 const IN_OLD: u8 = 1;
-/// `flag` bit: the cached F value survives this epoch unchanged.
+/// `flag` bit: the cached F value is certified still achievable.
 const VALID: u8 = 2;
 /// `flag` bit: the cached F value must be recomputed.
 const INVALID: u8 = 4;
+/// `flag` bit: the node is on the support chain being walked.
+const ON_CHAIN: u8 = 8;
 
 /// Per-worker scratch for [`repair_row`]: the full-run scratch plus
 /// scatter arrays holding the previous epoch's row. `flag` entries are
@@ -1523,22 +1628,58 @@ impl RowScratch {
     }
 }
 
-/// Dynamic repair of one cached detour row across an epoch.
+/// One re-run detour row: new values and support forest in slice order,
+/// the members whose value moved or that joined the slice (`None` for a
+/// rebuilt row, which has no baseline), and how many members the repair
+/// recomputed from their escapes.
+struct RowOutcome {
+    vals: Vec<Cost>,
+    vias: Vec<u32>,
+    changed: Option<Vec<NodeId>>,
+    recomputed: usize,
+}
+
+/// Certified repair of one cached detour row across an epoch.
 ///
-/// A member keeps its cached `F` value iff it persisted in the slice,
-/// sits outside the primitive damage set `in_g`, and its whole support
-/// chain (the `via` forest path down to an escape seed) persisted and
-/// stayed undamaged — then the old value is still achieved by the same
-/// detour, and nothing adjacent to it changed, so it remains a certified
-/// upper bound. Everything else is invalidated, re-seeded from its best
-/// escape, and settled by a slice-restricted Dijkstra alongside the
-/// intact members *bordering* the damage (pushed at their kept values —
-/// the exact analogue of the distance repair's crossing-arc seeds).
-/// Improvements may relax into intact members too, so decreases
-/// propagate out of the damaged region; increases cannot escape it by
-/// the validity argument. The result is bit-identical to a fresh
-/// [`detour_run_via`] in values (the support forest may break ties
-/// differently, which nothing downstream reads for values).
+/// Member `y` keeps its cached `F(y)` iff a **certificate** shows the
+/// value is still achievable: `y` is in the old and the new slice, it is
+/// not `STALE` (declared cost unchanged, no departed neighbour), and its
+/// support step still holds —
+///
+/// * via member `z`: `z` is still a strict descendant of `x`, the arc
+///   `(y, z)` survives, and `z` is itself kept;
+/// * via an escape to `w` (`ESC_TAG | w`): `w` is still outside
+///   `subtree(x)`, the arc `(y, w)` survives, and `dist[w]` still equals
+///   `F(y)`.
+///
+/// Every other member is recomputed: reset to its best escape and
+/// queued, with its kept neighbours queued at their kept values (the
+/// border). The row's decrease seeds then offer their escapes, and
+/// [`PUSH_SEED`]s re-queue both ends of an added internal arc. One
+/// slice-restricted Dijkstra settles the lot, and may lower kept
+/// members too.
+///
+/// Why the values are exact. Certificates make every kept value an
+/// upper bound, and every queued value is achievable, so the result is
+/// never too low. It is never too high either, because the final labels
+/// satisfy every constraint of the row's shortest-path problem:
+///
+/// * an internal arc out of a node the run popped was relaxed;
+/// * an internal arc between two kept nodes that were never popped
+///   existed last epoch, and the old row satisfied it with the same
+///   cost (both nodes are not `STALE`);
+/// * an internal arc from a kept node to a recomputed one, or one that
+///   was added, had its kept end queued (border or push seed);
+/// * an escape of a recomputed node was scanned, and an escape of a kept
+///   node is either unchanged since last epoch — so the old minimum
+///   still bounds it — or improved, and every improved escape (a target
+///   whose distance dropped, that left the subtree, or whose arc is
+///   new) is a seed of this row.
+///
+/// Labels that are achievable and satisfy every constraint are the
+/// exact minima, so the values are bit-identical to a fresh
+/// [`detour_run_via`] (the support forest may break ties differently,
+/// which nothing reads for values).
 #[allow(clippy::too_many_arguments)]
 fn repair_row(
     g: &NodeWeightedGraph,
@@ -1548,9 +1689,10 @@ fn repair_row(
     x: NodeId,
     old_vals: &[Cost],
     old_vias: &[u32],
-    in_g: &[bool],
+    node_flag: &[u8],
+    seeds: &[(u32, u32, u32)],
     sc: &mut RowScratch,
-) -> (Vec<Cost>, Vec<u32>, u64, u64) {
+) -> RowOutcome {
     let old_members = &old_iv.subtree(x)[1..];
     let members = &iv.subtree(x)[1..];
     let RowScratch {
@@ -1561,8 +1703,6 @@ fn repair_row(
         chain,
     } = sc;
     let DetourScratch { dval, heap, via } = det;
-    let mut scans = 0u64;
-    let mut pops = 0u64;
     heap.clear();
 
     for (i, &y) in old_members.iter().enumerate() {
@@ -1571,11 +1711,13 @@ fn repair_row(
         flag[y.index()] = IN_OLD;
     }
 
-    // Validity walk, memoized through `flag`: each chain is traversed
-    // once, and the verdict at its resolution point back-propagates to
-    // every node walked to reach it. The forest is acyclic (a support
-    // settled strictly earlier in its run's pop order), so the walk
-    // terminates.
+    // Certificate walk, memoized through `flag`: each support chain is
+    // walked once, and the verdict where it resolves back-propagates to
+    // every node walked to reach it. `ON_CHAIN` stops the walk on a
+    // cycle, which a support forest never has.
+    let arc_holds = |a: NodeId, b: NodeId| {
+        node_flag[a.index()] & CUT == 0 || g.neighbors(a).binary_search(&b).is_ok()
+    };
     for &y in members.iter() {
         let mut cur = y;
         let verdict = loop {
@@ -1583,82 +1725,114 @@ fn repair_row(
             if f & (VALID | INVALID) != 0 {
                 break f & (VALID | INVALID);
             }
-            if f & IN_OLD == 0 || in_g[cur.index()] {
+            if f & (IN_OLD | ON_CHAIN) != IN_OLD || node_flag[cur.index()] & STALE != 0 {
                 break INVALID;
             }
             let v = via_old[cur.index()];
             if v == ESC_VIA {
-                break VALID;
-            }
-            let vn = NodeId(v);
-            if !iv.is_strict_descendant(vn, x) {
-                // The supporting member left the slice.
                 break INVALID;
             }
+            if v & ESC_TAG != 0 {
+                let w = NodeId(v & !ESC_TAG);
+                let holds = !iv.is_ancestor(x, w)
+                    && arc_holds(cur, w)
+                    && dist[w.index()] == f_old[cur.index()];
+                break if holds { VALID } else { INVALID };
+            }
+            let z = NodeId(v);
+            if !iv.is_strict_descendant(z, x) || !arc_holds(cur, z) {
+                break INVALID;
+            }
+            flag[cur.index()] |= ON_CHAIN;
             chain.push(cur);
-            cur = vn;
+            cur = z;
         };
         flag[cur.index()] |= verdict;
         for &p in chain.iter() {
-            flag[p.index()] |= verdict;
+            flag[p.index()] = (flag[p.index()] & !ON_CHAIN) | verdict;
         }
         chain.clear();
     }
 
-    // Intact members keep their certified old value; damaged members
-    // restart from scratch.
-    let mut invalid = 0usize;
+    // Kept members start at their certified value; recomputed members
+    // restart from their best escape, queueing their kept neighbours.
+    let mut recomputed = 0usize;
     for &y in members.iter() {
         if flag[y.index()] & INVALID != 0 {
-            invalid += 1;
+            recomputed += 1;
             dval[y.index()] = Cost::INF;
-            via[y.index()] = ESC_VIA;
         } else {
             dval[y.index()] = f_old[y.index()];
             via[y.index()] = via_old[y.index()];
         }
     }
-    truthcast_obs::add("core.delta.row_members_recomputed", invalid as u64);
-    if invalid > 0 {
+    if recomputed > 0 {
         for &y in members.iter() {
             if flag[y.index()] & INVALID == 0 {
                 continue;
             }
-            let mut esc = Cost::INF;
+            let (mut esc, mut target) = (Cost::INF, ESC_VIA);
             g.arcs_from(y, |w, arc| {
-                scans += 1;
                 if !iv.is_ancestor(x, w) {
-                    esc = esc.min(g.onward(arc, dist[w.index()]));
+                    let c = g.onward(arc, dist[w.index()]);
+                    if c < esc {
+                        (esc, target) = (c, ESC_TAG | w.0);
+                    }
                 } else if w != x && flag[w.index()] & INVALID == 0 && dval[w.index()].is_finite() {
-                    // Intact border member: seed at its kept value.
                     heap.push_or_update(w.0, dval[w.index()]);
                 }
             });
             dval[y.index()] = esc;
+            via[y.index()] = target;
             if esc.is_finite() {
                 heap.push_or_update(y.0, esc);
             }
         }
-        while let Some((yy, fy)) = heap.pop_min() {
-            pops += 1;
-            let y = NodeId(yy);
-            if fy > dval[y.index()] {
-                continue;
+    }
+    for &(_, y, w) in seeds {
+        let yi = y as usize;
+        if w == PUSH_SEED {
+            if dval[yi].is_finite() {
+                heap.push_or_update(y, dval[yi]);
             }
-            g.arcs_from(y, |z, arc| {
-                if iv.is_strict_descendant(z, x) {
-                    let cand = fy.saturating_add(g.reverse_step(y, arc));
-                    if cand < dval[z.index()] {
-                        dval[z.index()] = cand;
-                        via[z.index()] = yy;
-                        heap.push_or_update(z.0, cand);
-                    }
-                }
-            });
+            continue;
+        }
+        // Node model: an escape to `w` costs `w`'s inclusive distance.
+        let c = dist[w as usize];
+        if c < dval[yi] {
+            dval[yi] = c;
+            via[yi] = ESC_TAG | w;
+            heap.push_or_update(y, c);
         }
     }
+    while let Some((yy, fy)) = heap.pop_min() {
+        let y = NodeId(yy);
+        if fy > dval[y.index()] {
+            continue;
+        }
+        g.arcs_from(y, |z, arc| {
+            if iv.is_strict_descendant(z, x) {
+                let cand = fy.saturating_add(g.reverse_step(y, arc));
+                if cand < dval[z.index()] {
+                    dval[z.index()] = cand;
+                    via[z.index()] = yy;
+                    heap.push_or_update(z.0, cand);
+                }
+            }
+        });
+    }
 
-    let vals: Vec<Cost> = members.iter().map(|&y| dval[y.index()]).collect();
+    let mut changed = Vec::new();
+    let vals: Vec<Cost> = members
+        .iter()
+        .map(|&y| {
+            let v = dval[y.index()];
+            if flag[y.index()] & IN_OLD == 0 || v != f_old[y.index()] {
+                changed.push(y);
+            }
+            v
+        })
+        .collect();
     let vias: Vec<u32> = members.iter().map(|&y| via[y.index()]).collect();
     for &y in old_members.iter() {
         flag[y.index()] = 0;
@@ -1667,7 +1841,12 @@ fn repair_row(
         flag[y.index()] = 0;
         dval[y.index()] = Cost::INF;
     }
-    (vals, vias, scans, pops)
+    RowOutcome {
+        vals,
+        vias,
+        changed: Some(changed),
+        recomputed,
+    }
 }
 
 impl Default for IncrementalEngine {

@@ -79,6 +79,23 @@ grep '^{' "$SMOKE_DIR/pipeline.out"
 echo "==> pipebench unit tests"
 cargo test -q --offline --manifest-path pipebench/Cargo.toml
 
+# Warm-resize renumbering check: the renumber_leave example replays
+# swap_remove leaves (each renumbers a survivor) through the service and
+# compares every shard with the cold oracle. It exits 0 even when it
+# finds a divergence and a bad seed may abort, so each seed runs in its
+# own process and every line it prints must say "no divergence".
+echo "==> renumber_leave seeds 0-11 (swap_remove leaves vs the cold oracle)"
+cargo build -q --release --offline --manifest-path pipebench/Cargo.toml --example renumber_leave
+for seed in $(seq 0 11); do
+    out="$(pipebench/target/release/examples/renumber_leave "$seed" 2>&1)" \
+        || out="seed $seed: process failed: $out"
+    echo "$out"
+    if [ -z "$out" ] || printf '%s\n' "$out" | grep -qv "no divergence"; then
+        echo "renumber_leave: seed $seed diverged from the cold oracle" >&2
+        exit 1
+    fi
+done
+
 # TRUTHCAST_CI_HEAVY=1 re-runs the differential batteries at an elevated
 # case count (the workspace run above already includes them at the fast
 # count baked into the tests).
