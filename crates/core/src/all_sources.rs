@@ -2,9 +2,9 @@
 //!
 //! The paper's deployment pattern is all-to-AP: every node prices its
 //! unicast toward a single access point. Running Algorithm 1 once per
-//! source ([`crate::price_all_sources`]'s historical behavior) repeats
-//! `Θ(n)` full Dijkstra sweeps against the *same* destination-rooted
-//! shortest-path tree. This module computes the entire payment table —
+//! source repeats `Θ(n)` full Dijkstra sweeps against the *same*
+//! destination-rooted shortest-path tree. This module computes the
+//! entire payment table —
 //! `‖P(i, 0, d)‖` and every relay's replacement cost `‖P_{-v_k}(i, 0, d)‖`
 //! for **all** (source, relay) pairs — from a single AP-rooted sweep plus
 //! near-linear crossing-edge post-processing:
@@ -36,10 +36,10 @@
 //!    ambiguity propagated down the tree exactly marks the sources whose
 //!    path could differ. Those (rare, under generic costs) sources are
 //!    re-priced through the per-session pipeline shared with
-//!    [`crate::batch`] — reusing the cached `R'` table — making the whole
-//!    output **bit-identical to per-source [`crate::fast_payments`]** at
-//!    any thread count. The `core.all_sources.fallbacks` counter records
-//!    the fallback rate.
+//!    [`crate::batch`] — reusing the shared sweep's `R'` table — making
+//!    the whole output **bit-identical to per-source
+//!    [`crate::fast_payments`]** at any thread count. The
+//!    `core.all_sources.fallbacks` counter records the fallback rate.
 //!
 //! The per-relay runs are independent, so they shard across
 //! `truthcast_rt::par` workers (each with its own lazily-reset scratch);
@@ -396,8 +396,7 @@ fn flush_counters(shared: &SharedSweep, repl: &ReplacementTable, sources: u64, f
 /// Node-model all-sources pricing against a caller-supplied AP-rooted
 /// table (as produced by `node_dijkstra(g, ap, default)`). Returns the
 /// per-node pricings (index `ap` and unreachable sources hold `None`)
-/// plus the fallback count. Shared by [`AllSourcesEngine`] and
-/// [`crate::PaymentEngine::price_all_to_ap`].
+/// plus the fallback count.
 pub(crate) fn node_all_sources_from_table(
     g: &NodeWeightedGraph,
     ap: NodeId,
@@ -572,11 +571,9 @@ pub(crate) fn link_all_sources_from_table(
 
 /// Reusable all-to-AP pricing engine.
 ///
-/// Unlike the batch engines this one *owns* no borrow of the topology, so
-/// a long-lived deployment (e.g. the mobility experiment) can keep one
-/// warm engine across epochs: the sweep workspace and export buffers are
-/// reused, and [`AllSourcesEngine::price_all_sources_reusing`] short-cuts
-/// entirely when the graph is unchanged since the previous call.
+/// Unlike the batch engine this one borrows no topology, so one engine
+/// can price many graphs: the sweep workspace and export buffers are
+/// reused across calls.
 ///
 /// ```
 /// use truthcast_core::all_sources::AllSourcesEngine;
@@ -600,7 +597,6 @@ pub struct AllSourcesEngine {
     dist: Vec<Cost>,
     parent: Vec<Option<NodeId>>,
     last_fallbacks: usize,
-    cache: Option<(NodeWeightedGraph, NodeId, Vec<Option<UnicastPricing>>)>,
 }
 
 impl AllSourcesEngine {
@@ -618,7 +614,6 @@ impl AllSourcesEngine {
             dist: Vec::new(),
             parent: Vec::new(),
             last_fallbacks: 0,
-            cache: None,
         }
     }
 
@@ -694,26 +689,6 @@ impl AllSourcesEngine {
             link_all_sources_from_table(g, ap, &self.dist, &self.parent, self.threads);
         self.last_fallbacks = fallbacks;
         out
-    }
-
-    /// Like [`AllSourcesEngine::price_all_sources`], but returns the
-    /// cached table (and `true`) when `(g, ap)` is unchanged since the
-    /// previous `_reusing` call — the mobility experiment's epoch
-    /// shortcut. Counts `core.all_sources.graph_cache_hits`.
-    pub fn price_all_sources_reusing(
-        &mut self,
-        g: &NodeWeightedGraph,
-        ap: NodeId,
-    ) -> (Vec<Option<UnicastPricing>>, bool) {
-        if let Some((cg, cap, cached)) = &self.cache {
-            if *cap == ap && cg == g {
-                truthcast_obs::add("core.all_sources.graph_cache_hits", 1);
-                return (cached.clone(), true);
-            }
-        }
-        let out = self.price_all_sources(g, ap);
-        self.cache = Some((g.clone(), ap, out.clone()));
-        (out, false)
     }
 }
 
@@ -833,22 +808,5 @@ mod tests {
             engine.price_all_sources_symmetric(&g, NodeId(1)),
             vec![None, None]
         );
-    }
-
-    #[test]
-    fn reusing_hits_cache_on_identical_graph() {
-        let g = diamond();
-        let mut engine = AllSourcesEngine::new();
-        let (first, hit0) = engine.price_all_sources_reusing(&g, NodeId(3));
-        assert!(!hit0);
-        let (second, hit1) = engine.price_all_sources_reusing(&g, NodeId(3));
-        assert!(hit1);
-        assert_eq!(first, second);
-        // A cost change invalidates the cache.
-        let g2 =
-            NodeWeightedGraph::from_pairs_units(&[(0, 1), (1, 3), (0, 2), (2, 3)], &[0, 9, 7, 0]);
-        let (third, hit2) = engine.price_all_sources_reusing(&g2, NodeId(3));
-        assert!(!hit2);
-        assert_ne!(first, third);
     }
 }

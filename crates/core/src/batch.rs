@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 
-use truthcast_graph::dijkstra::{dijkstra_in, DijkstraOptions, Direction, DistanceTable};
+use truthcast_graph::dijkstra::{dijkstra_in, DijkstraOptions, Direction};
 use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions, NodeDistanceTable};
 use truthcast_graph::workspace::DijkstraWorkspace;
 use truthcast_graph::{Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph, Spt};
@@ -43,7 +43,7 @@ use truthcast_mechanism::vcg::vcg_payment_selected;
 use truthcast_rt::{default_threads, par_map_with};
 
 use crate::fast::replacement_costs;
-use crate::fast_symmetric::{edge_weighted_replacement_costs, is_symmetric};
+use crate::fast_symmetric::edge_weighted_replacement_costs;
 use crate::levels::compute_levels;
 use crate::pricing::UnicastPricing;
 use crate::trace::audit_unicast;
@@ -179,40 +179,6 @@ impl<'g> PaymentEngine<'g> {
         self.target_tables.len()
     }
 
-    /// Removes and returns the engine's cached destination tables,
-    /// leaving the cache empty — the zero-copy half of the epoch-handoff
-    /// protocol. An engine borrows its topology for its lifetime, so a
-    /// service that rebuilds engines at an epoch boundary would otherwise
-    /// discard every warm table and re-warm from scratch;
-    /// [`PaymentEngine::install_tables`] moves them into the successor
-    /// instead.
-    pub fn take_tables(&mut self) -> BTreeMap<NodeId, NodeDistanceTable> {
-        std::mem::take(&mut self.target_tables)
-    }
-
-    /// Installs destination tables previously removed with
-    /// [`PaymentEngine::take_tables`], counting each under
-    /// `core.batch.target_cache_installs`. The tables must have been
-    /// computed over a graph with the same adjacency and declared costs
-    /// as this engine's (the intended caller rebuilds an engine over the
-    /// *same* graph value after an epoch swap retired the old borrow);
-    /// only the node count is checkable here, and is asserted.
-    pub fn install_tables(&mut self, tables: BTreeMap<NodeId, NodeDistanceTable>) {
-        for (target, t) in tables {
-            assert_eq!(
-                t.dist.len(),
-                self.g.num_nodes(),
-                "installed table for {target:?} sized for a different graph"
-            );
-            assert_eq!(
-                t.origin, target,
-                "installed table keyed by a foreign origin"
-            );
-            truthcast_obs::add("core.batch.target_cache_installs", 1);
-            self.target_tables.insert(target, t);
-        }
-    }
-
     /// Ensures the destination-rooted table for `target` is cached,
     /// counting a hit or miss.
     fn warm(&mut self, target: NodeId) {
@@ -268,32 +234,6 @@ impl<'g> PaymentEngine<'g> {
             },
         )
     }
-
-    /// The paper's all-to-AP pattern: every node priced toward `ap` from
-    /// the shared destination-rooted sweep (see [`crate::all_sources`]).
-    /// Index `ap` holds `None`, as do unreachable sources — bit-identical
-    /// to [`crate::price_all_sources`] and to per-source
-    /// `fast_payments`, at any thread count.
-    ///
-    /// The sweep shares the engine's destination cache: a table warmed
-    /// here is reused by later [`PaymentEngine::price_batch`] calls to
-    /// the same `ap`, and vice versa.
-    pub fn price_all_to_ap(&mut self, ap: NodeId) -> Vec<Option<UnicastPricing>> {
-        let _span = truthcast_obs::span("core.all_sources");
-        {
-            let _s = truthcast_obs::span("all_sources.spt_sweep");
-            self.warm(ap);
-        }
-        let tj = &self.target_tables[&ap];
-        let (out, _fallbacks) = crate::all_sources::node_all_sources_from_table(
-            self.g,
-            ap,
-            &tj.dist,
-            &tj.parent,
-            self.threads,
-        );
-        out
-    }
 }
 
 /// Prices one node-weighted session inside a worker: the same pipeline as
@@ -347,175 +287,10 @@ pub(crate) fn price_node_session(
     })
 }
 
-/// Batch VCG pricing engine for the symmetric link-cost (paper Section
-/// III-F, first simulation) model — the batched counterpart of
-/// [`crate::fast_symmetric_payments`].
-///
-/// Symmetry is checked **once** at construction; on an asymmetric graph
-/// every session prices to `None`, exactly as the per-session algorithm
-/// reports.
-pub struct LinkPaymentEngine<'g> {
-    g: &'g LinkWeightedDigraph,
-    threads: usize,
-    symmetric: bool,
-    target_tables: BTreeMap<NodeId, DistanceTable>,
-}
-
-impl<'g> LinkPaymentEngine<'g> {
-    /// An engine over `g` using [`default_threads`] workers.
-    pub fn new(g: &'g LinkWeightedDigraph) -> LinkPaymentEngine<'g> {
-        LinkPaymentEngine::with_threads(g, default_threads())
-    }
-
-    /// An engine over `g` using exactly `threads` workers (clamped to at
-    /// least 1).
-    pub fn with_threads(g: &'g LinkWeightedDigraph, threads: usize) -> LinkPaymentEngine<'g> {
-        LinkPaymentEngine {
-            g,
-            threads: threads.max(1),
-            symmetric: is_symmetric(g),
-            target_tables: BTreeMap::new(),
-        }
-    }
-
-    /// The worker count this engine shards batches across.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Whether the topology passed the up-front symmetry check.
-    pub fn is_symmetric(&self) -> bool {
-        self.symmetric
-    }
-
-    /// Number of distinct destinations with a cached table.
-    pub fn cached_targets(&self) -> usize {
-        self.target_tables.len()
-    }
-
-    /// Removes and returns the cached destination tables — see
-    /// [`PaymentEngine::take_tables`].
-    pub fn take_tables(&mut self) -> BTreeMap<NodeId, DistanceTable> {
-        std::mem::take(&mut self.target_tables)
-    }
-
-    /// Installs tables previously removed with
-    /// [`LinkPaymentEngine::take_tables`] — see
-    /// [`PaymentEngine::install_tables`] for the caller contract.
-    pub fn install_tables(&mut self, tables: BTreeMap<NodeId, DistanceTable>) {
-        for (target, t) in tables {
-            assert_eq!(
-                t.dist.len(),
-                self.g.num_nodes(),
-                "installed table for {target:?} sized for a different graph"
-            );
-            assert_eq!(
-                t.origin, target,
-                "installed table keyed by a foreign origin"
-            );
-            assert_eq!(
-                t.direction,
-                Direction::Forward,
-                "link tables are forward sweeps from the target"
-            );
-            truthcast_obs::add("core.batch.target_cache_installs", 1);
-            self.target_tables.insert(target, t);
-        }
-    }
-
-    fn warm(&mut self, target: NodeId) {
-        if self.target_tables.contains_key(&target) {
-            truthcast_obs::add("core.batch.target_cache_hits", 1);
-        } else {
-            truthcast_obs::add("core.batch.target_cache_misses", 1);
-            // Symmetric graph: a forward sweep from the target is the
-            // `R` table, mirroring `fast_symmetric_payments`.
-            let mut ws = DijkstraWorkspace::with_capacity(self.g.num_nodes());
-            dijkstra_in(
-                &mut ws,
-                self.g,
-                target,
-                Direction::Forward,
-                DijkstraOptions::default(),
-            );
-            let (dist, parent) = ws.into_tables();
-            self.target_tables.insert(
-                target,
-                DistanceTable {
-                    origin: target,
-                    direction: Direction::Forward,
-                    dist,
-                    parent,
-                },
-            );
-        }
-    }
-
-    /// Prices every session, sharded across the engine's workers.
-    /// `out[i]` corresponds to `sessions[i]` and is bit-identical to
-    /// `fast_symmetric_payments(g, sessions[i].source,
-    /// sessions[i].target)` — `None` on unreachable destinations, and
-    /// `None` everywhere on asymmetric graphs.
-    pub fn price_batch(&mut self, sessions: &[SessionQuery]) -> Vec<Option<UnicastPricing>> {
-        let _span = truthcast_obs::span("core.batch.price_batch");
-        if !self.symmetric {
-            for q in sessions {
-                assert_ne!(q.source, q.target, "unicast endpoints must differ");
-            }
-            return vec![None; sessions.len()];
-        }
-        for q in sessions {
-            self.warm(q.target);
-        }
-        truthcast_obs::add("core.batch.sessions", sessions.len() as u64);
-        let g = self.g;
-        let tables = &self.target_tables;
-        par_map_with(
-            sessions.len(),
-            self.threads,
-            || WorkerScratch::new(g.num_nodes()),
-            |scratch, i| {
-                scratch.sessions += 1;
-                let t0 = WorkerScratch::latency_clock();
-                let q = sessions[i];
-                let tj = &tables[&q.target];
-                let priced = price_link_session(g, q, &tj.dist, scratch, "batch_sym");
-                scratch.record_latency(t0);
-                priced
-            },
-        )
-    }
-
-    /// The all-to-AP pattern on the link model, from the shared sweep
-    /// (see [`crate::all_sources`]). Index `ap` and unreachable sources
-    /// hold `None`; on an asymmetric graph every slot is `None`. Each
-    /// entry is bit-identical to `fast_symmetric_payments(g, source,
-    /// ap)`.
-    pub fn price_all_to_ap(&mut self, ap: NodeId) -> Vec<Option<UnicastPricing>> {
-        let _span = truthcast_obs::span("core.all_sources");
-        if !self.symmetric {
-            return vec![None; self.g.num_nodes()];
-        }
-        {
-            let _s = truthcast_obs::span("all_sources.spt_sweep");
-            self.warm(ap);
-        }
-        let tj = &self.target_tables[&ap];
-        let (out, _fallbacks) = crate::all_sources::link_all_sources_from_table(
-            self.g,
-            ap,
-            &tj.dist,
-            &tj.parent,
-            self.threads,
-        );
-        out
-    }
-}
-
 /// Prices one symmetric link-cost session inside a worker: the same
-/// pipeline as [`crate::fast_symmetric_payments`] (minus the per-call
-/// symmetry check, hoisted to engine construction). `algo` tags the
-/// audit records.
+/// pipeline as [`crate::fast_symmetric_payments`] minus the per-call
+/// symmetry check, which the caller (the `all_sources` link fallback)
+/// has already made. `algo` tags the audit records.
 pub(crate) fn price_link_session(
     g: &LinkWeightedDigraph,
     q: SessionQuery,
@@ -574,8 +349,7 @@ pub(crate) fn price_link_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fast::{fast_payments, price_all_sources};
-    use crate::fast_symmetric::fast_symmetric_payments;
+    use crate::fast::fast_payments;
 
     fn diamond() -> NodeWeightedGraph {
         NodeWeightedGraph::from_pairs_units(&[(0, 1), (1, 3), (0, 2), (2, 3)], &[0, 5, 7, 0])
@@ -601,82 +375,10 @@ mod tests {
     }
 
     #[test]
-    fn all_to_ap_matches_price_all_sources() {
-        let g = diamond();
-        let mut engine = PaymentEngine::with_threads(&g, 2);
-        assert_eq!(
-            engine.price_all_to_ap(NodeId(3)),
-            price_all_sources(&g, NodeId(3))
-        );
-    }
-
-    #[test]
-    fn table_handoff_preserves_pricing() {
-        let g = diamond();
-        let sessions = [
-            SessionQuery::new(NodeId(0), NodeId(3)),
-            SessionQuery::new(NodeId(1), NodeId(3)),
-        ];
-        let mut a = PaymentEngine::with_threads(&g, 2);
-        let expect = a.price_batch(&sessions);
-        let tables = a.take_tables();
-        assert_eq!(a.cached_targets(), 0);
-        let mut b = PaymentEngine::with_threads(&g, 2);
-        b.install_tables(tables);
-        assert_eq!(b.cached_targets(), 1);
-        assert_eq!(b.price_batch(&sessions), expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "sized for a different graph")]
-    fn install_rejects_foreign_size() {
-        let g = diamond();
-        let mut a = PaymentEngine::new(&g);
-        a.price_batch(&[SessionQuery::new(NodeId(0), NodeId(3))]);
-        let tables = a.take_tables();
-        let small = NodeWeightedGraph::from_pairs_units(&[(0, 1)], &[0, 0]);
-        let mut b = PaymentEngine::new(&small);
-        b.install_tables(tables);
-    }
-
-    #[test]
     fn unreachable_target_is_none() {
         let g = NodeWeightedGraph::from_pairs_units(&[(0, 1)], &[0, 0, 0]);
         let mut engine = PaymentEngine::new(&g);
         let priced = engine.price_batch(&[SessionQuery::new(NodeId(0), NodeId(2))]);
-        assert_eq!(priced, vec![None]);
-    }
-
-    #[test]
-    fn link_engine_matches_per_session() {
-        let arcs: Vec<(NodeId, NodeId, Cost)> = [(0, 1, 2), (1, 3, 2), (0, 2, 3), (2, 3, 4)]
-            .iter()
-            .flat_map(|&(u, v, w)| {
-                [
-                    (NodeId(u), NodeId(v), Cost::from_units(w)),
-                    (NodeId(v), NodeId(u), Cost::from_units(w)),
-                ]
-            })
-            .collect();
-        let g = LinkWeightedDigraph::from_arcs(4, arcs);
-        let sessions = [
-            SessionQuery::new(NodeId(0), NodeId(3)),
-            SessionQuery::new(NodeId(1), NodeId(3)),
-        ];
-        let mut engine = LinkPaymentEngine::with_threads(&g, 2);
-        assert!(engine.is_symmetric());
-        let priced = engine.price_batch(&sessions);
-        for (q, got) in sessions.iter().zip(&priced) {
-            assert_eq!(*got, fast_symmetric_payments(&g, q.source, q.target));
-        }
-    }
-
-    #[test]
-    fn asymmetric_graph_prices_to_none() {
-        let g = LinkWeightedDigraph::from_arcs(2, [(NodeId(0), NodeId(1), Cost::from_units(1))]);
-        let mut engine = LinkPaymentEngine::new(&g);
-        assert!(!engine.is_symmetric());
-        let priced = engine.price_batch(&[SessionQuery::new(NodeId(0), NodeId(1))]);
         assert_eq!(priced, vec![None]);
     }
 }

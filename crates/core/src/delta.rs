@@ -1,10 +1,9 @@
 //! Incremental all-to-AP re-pricing under mobility.
 //!
-//! [`crate::AllSourcesEngine`] re-prices an epoch from scratch; its only
-//! reuse is the bit-identical-graph cache. Under mobility almost every
-//! epoch differs from its predecessor by a handful of arcs and declared
-//! costs, so the steady-state cost should be proportional to **what
-//! changed**, not to `n`. This module makes that asymptotic real while
+//! [`crate::AllSourcesEngine`] re-prices an epoch from scratch. Under
+//! mobility almost every epoch differs from its predecessor by a handful
+//! of arcs and declared costs, so the steady-state cost should be
+//! proportional to **what changed**, not to `n`. This module makes that asymptotic real while
 //! keeping the one contract that matters for a VCG mechanism: every
 //! epoch's output is **bit-identical to cold re-pricing** (and therefore
 //! to per-source [`crate::fast_payments`]).
@@ -14,7 +13,7 @@
 //! 1. **Diff.** [`GraphDelta::between`] merge-walks the sorted CSR
 //!    neighbor lists of consecutive epoch graphs into a typed delta:
 //!    undirected arcs added/removed plus per-node declared-cost changes.
-//!    An empty delta is the zero-cost fast path (the old equality cache).
+//!    An empty delta is the zero-cost fast path.
 //! 2. **Classify.** [`classify_delta`] maps each delta entry onto the
 //!    previous epoch's [`SubtreeIntervals`]: a cost increase at `x` or a
 //!    severed tree arc `(parent(v), v)` can only worsen the contiguous
@@ -52,11 +51,12 @@
 //!    those arrives as a **per-row seed**, offered only to the rows that
 //!    hold the member but not the target. Everything uncertified is
 //!    re-seeded from its escapes and settled by one restricted Dijkstra
-//!    bordered by the kept members ([`repair_row`]'s header gives the
-//!    exactness argument). Sources are then selected individually: the
-//!    subtrees of maximal touched nodes (their root path moved), the
-//!    members whose `F` value a repaired row reports as changed, and
-//!    the sources whose tie-ambiguity mark flipped. Everyone else's
+//!    bordered by the kept members (the header of the private
+//!    `repair_row` gives the exactness argument). Sources are then
+//!    selected individually: the subtrees of maximal touched nodes (their
+//!    root path moved), the members whose `F` value a repaired row
+//!    reports as changed, and the sources whose tie-ambiguity mark
+//!    flipped. Everyone else's
 //!    pricing is reused verbatim. Tie-ambiguous (fallback) sources are
 //!    re-priced through the per-session pipeline **every** epoch: their
 //!    reported path hangs on global sweep tie-breaking, which any remote
@@ -65,8 +65,7 @@
 //!    `threshold × n` the engine falls back to the cold pipeline — repair
 //!    has no asymptotic edge once most of the tree is damaged. The knob
 //!    defaults to [`DEFAULT_DAMAGE_THRESHOLD`] and can be overridden per
-//!    process with `TRUTHCAST_DELTA_THRESHOLD` (a fraction in `[0, 1]`)
-//!    or per engine with [`IncrementalEngine::set_damage_threshold`].
+//!    engine with [`IncrementalEngine::with_damage_threshold`].
 //!
 //! **Cross-resize repair.** A node join or leave changes the node count,
 //! which used to force the cold pipeline ([`EpochOutcome::ColdResize`]).
@@ -87,12 +86,14 @@
 //! damage-threshold contract.
 //!
 //! **Shared output.** Each epoch's table is handed out as an
-//! `Arc<Vec<Option<UnicastPricing>>>` that is never mutated after it is
-//! returned. The engine keeps its own working table and the `Arc` it
-//! last returned: a [`EpochOutcome::Reused`] epoch returns that same
-//! `Arc` (no copy at all), and any other epoch publishes one fresh copy
-//! of the working table. Callers that publish tables (the payment
-//! service) therefore share unchanged tables instead of cloning them.
+//! `Arc<Vec<Option<UnicastPricing>>>` that is never mutated while anyone
+//! else holds it. The engine keeps exactly one table, the `Arc` it last
+//! returned: a [`EpochOutcome::Reused`] epoch returns that same `Arc` (no
+//! copy at all), a repair epoch edits it through [`Arc::make_mut`]
+//! (which copies once if a caller still holds the previous epoch's
+//! table, and not at all otherwise), and a cold epoch starts a fresh
+//! one. Callers that publish tables (the payment service) therefore
+//! share unchanged tables instead of cloning them.
 //!
 //! Observability: `core.delta.{deltas,dirty_nodes,repaired_slices,
 //! fallbacks,cold_resizes,warm_resizes,born,died,reuses,subtree_runs,
@@ -115,7 +116,7 @@
 //! cold sweep's tie-breaking — and the differential battery in
 //! `crates/core/tests/incremental_vs_cold.rs` holds it to that.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use truthcast_graph::heap::IndexedHeap;
 use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
@@ -134,17 +135,6 @@ use crate::trace::audit_unicast;
 /// Fraction of `n` the dirty region (plus seeds) may reach before
 /// [`IncrementalEngine`] abandons repair for a cold sweep.
 pub const DEFAULT_DAMAGE_THRESHOLD: f64 = 0.25;
-
-fn damage_threshold_from_env() -> f64 {
-    static T: OnceLock<f64> = OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("TRUTHCAST_DELTA_THRESHOLD")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|t| t.is_finite() && (0.0..=1.0).contains(t))
-            .unwrap_or(DEFAULT_DAMAGE_THRESHOLD)
-    })
-}
 
 /// A typed diff between two node-weighted epoch graphs over the same
 /// node set. Arc pairs are stored once each, `(u, v)` with `u < v`, in
@@ -362,7 +352,7 @@ pub fn classify_delta(
 /// tree parent departed across a resize. Their old root path no longer
 /// exists, so their whole (remapped) subtree slice is dirty — exactly a
 /// severed tree arc whose upper endpoint has no new index.
-pub fn classify_delta_severed(
+pub(crate) fn classify_delta_severed(
     delta: &GraphDelta,
     severed_roots: &[NodeId],
     iv: &SubtreeIntervals,
@@ -524,10 +514,9 @@ pub struct IncrementalEngine {
     /// values survived an epoch.
     row_via: Vec<Vec<u32>>,
     row_stale: Vec<bool>,
-    /// The working table the repair path edits in place.
-    out: Vec<Option<UnicastPricing>>,
-    /// The table most recently returned: a copy of `out` that nothing
-    /// mutates, handed out again unchanged by `Reused` epochs.
+    /// The table most recently returned, handed out again unchanged by
+    /// `Reused` epochs. Repair epochs edit it through `Arc::make_mut`,
+    /// so a table a caller still holds is never written.
     published: Arc<Vec<Option<UnicastPricing>>>,
     prev: Option<(NodeWeightedGraph, NodeId)>,
     touched: Vec<bool>,
@@ -576,7 +565,7 @@ impl IncrementalEngine {
         }
         IncrementalEngine {
             threads: threads.max(1),
-            damage_threshold: damage_threshold_from_env(),
+            damage_threshold: DEFAULT_DAMAGE_THRESHOLD,
             ws: DijkstraWorkspace::new(),
             heap: IndexedHeap::new(0),
             heap_capacity: 0,
@@ -586,7 +575,6 @@ impl IncrementalEngine {
             rows: Vec::new(),
             row_via: Vec::new(),
             row_stale: Vec::new(),
-            out: Vec::new(),
             published: Arc::default(),
             prev: None,
             touched: Vec::new(),
@@ -602,21 +590,12 @@ impl IncrementalEngine {
         self.threads
     }
 
-    /// The current damage threshold (fraction of `n`).
-    pub fn damage_threshold(&self) -> f64 {
-        self.damage_threshold
-    }
-
-    /// Overrides the damage threshold: `0.0` falls back to a cold sweep
-    /// on any non-empty delta, `1.0` always repairs. Values are clamped
-    /// to `[0, 1]`.
-    pub fn set_damage_threshold(&mut self, threshold: f64) {
-        self.damage_threshold = threshold.clamp(0.0, 1.0);
-    }
-
-    /// Builder form of [`IncrementalEngine::set_damage_threshold`].
+    /// Overrides the damage threshold (default
+    /// [`DEFAULT_DAMAGE_THRESHOLD`]): `0.0` falls back to a cold sweep on
+    /// any non-empty delta, `1.0` always repairs. Values are clamped to
+    /// `[0, 1]`.
     pub fn with_damage_threshold(mut self, threshold: f64) -> IncrementalEngine {
-        self.set_damage_threshold(threshold);
+        self.damage_threshold = threshold.clamp(0.0, 1.0);
         self
     }
 
@@ -653,9 +632,11 @@ impl IncrementalEngine {
     /// (and so to [`crate::fast_payments`]); index `ap` and unreachable
     /// sources hold `None`.
     ///
-    /// The returned table is shared, never mutated: a
-    /// [`EpochOutcome::Reused`] epoch returns the previous epoch's `Arc`
-    /// itself, and every other epoch returns a fresh one.
+    /// The returned table is shared, never mutated while the caller
+    /// holds it: a [`EpochOutcome::Reused`] epoch returns the previous
+    /// epoch's `Arc` itself. A repair epoch returns the previous
+    /// allocation edited in place if the caller dropped it, and a copy
+    /// otherwise; a cold epoch returns a fresh table.
     pub fn price_epoch(
         &mut self,
         g: &NodeWeightedGraph,
@@ -698,10 +679,9 @@ impl IncrementalEngine {
     }
 
     /// Ends a repair or cold epoch: remembers `g` for the next diff and
-    /// returns one fresh copy of the working table.
+    /// hands out the table.
     fn publish(&mut self, g: &NodeWeightedGraph, ap: NodeId) -> Arc<Vec<Option<UnicastPricing>>> {
         self.prev = Some((g.clone(), ap));
-        self.published = Arc::new(self.out.clone());
         Arc::clone(&self.published)
     }
 
@@ -942,11 +922,11 @@ impl IncrementalEngine {
             let Some(nv) = map.to_new(NodeId(i as u32)) else {
                 continue;
             };
-            if let Some(p) = self.out[i].as_ref() {
+            if let Some(p) = self.published[i].as_ref() {
                 out[nv.index()] = remap_pricing(p, map);
             }
         }
-        self.out = out;
+        self.published = Arc::new(out);
 
         let mut fallback = vec![false; new_n];
         for (i, &fb) in old_shared.fallback.iter().enumerate() {
@@ -1001,8 +981,7 @@ impl IncrementalEngine {
             }
         }
         self.run_relays(g, &shared, &xs);
-        self.out.clear();
-        self.out.resize(n, None);
+        self.published = Arc::new(vec![None; n]);
         let everything = vec![true; n];
         self.assemble(g, ap, &shared, &everything);
         self.shared = Some(shared);
@@ -1471,6 +1450,7 @@ impl IncrementalEngine {
         let _s = truthcast_obs::span("delta.assemble");
         let n = g.num_nodes();
         let iv = &shared.iv;
+        let out = Arc::make_mut(&mut self.published);
         let mut fb: Vec<NodeId> = Vec::new();
         let mut repriced = 0usize;
         for v in g.node_ids() {
@@ -1486,7 +1466,7 @@ impl IncrementalEngine {
             }
             repriced += 1;
             if !iv.in_tree(v) {
-                self.out[v.index()] = None;
+                out[v.index()] = None;
                 continue;
             }
             let path = tree_path(&self.parent, v);
@@ -1512,7 +1492,7 @@ impl IncrementalEngine {
                     (r, self.rows[r.index()][off - 1], g.cost(r), p)
                 }),
             );
-            self.out[v.index()] = Some(UnicastPricing {
+            out[v.index()] = Some(UnicastPricing {
                 path,
                 lcp_cost,
                 payments,
@@ -1539,7 +1519,7 @@ impl IncrementalEngine {
                 },
             );
             for (&v, p) in fb.iter().zip(priced) {
-                self.out[v.index()] = p;
+                out[v.index()] = p;
             }
         }
         self.last_fallback_sources = fb.len();

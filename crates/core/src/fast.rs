@@ -98,19 +98,6 @@ pub fn fast_payments(
     })
 }
 
-/// Prices every node's unicast toward a fixed access point — the paper's
-/// all-to-AP pattern. Index `ap` holds `None`, as do unreachable
-/// sources, and each entry is bit-identical to
-/// `fast_payments(g, source, ap)`.
-///
-/// Since the all-sources engine landed this is a single shared-sweep
-/// pass ([`crate::all_sources`]) rather than one Algorithm 1 pass per
-/// source — `O(m + n log C)` plus near-linear crossing-edge
-/// post-processing instead of `Θ(n)` full sweeps.
-pub fn price_all_sources(g: &NodeWeightedGraph, ap: NodeId) -> Vec<Option<UnicastPricing>> {
-    crate::all_sources::all_sources_payments(g, ap)
-}
-
 /// Computes `‖P_{-r_l}‖` for `l = 1 … s-1`, given the `L'`/`R'` tables and
 /// the level structure. Exposed for the heap-strategy ablation benchmark.
 pub fn replacement_costs(

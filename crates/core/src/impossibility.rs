@@ -57,7 +57,7 @@ pub fn theorem7_witness(
     None
 }
 
-/// Theorem 7 through the Lemma 6 lens: a [`CrossDependence`] witness —
+/// Theorem 7 through the Lemma 6 lens: a [`truthcast_mechanism::CrossDependence`] witness —
 /// some node's declaration moving another's payment with allocations
 /// fixed — certifies directly that no LCP mechanism with these payments
 /// can be 2-agents strategyproof. For the VCG scheme such witnesses are

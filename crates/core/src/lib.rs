@@ -59,7 +59,7 @@ pub mod trace;
 
 pub use all_sources::{all_sources_payments, AllSourcesEngine};
 pub use baselines::{compare_fixed_vs_vcg, fixed_price_route, FixedPriceOutcome, SchemeComparison};
-pub use batch::{LinkPaymentEngine, PaymentEngine, SessionQuery};
+pub use batch::{PaymentEngine, SessionQuery};
 pub use collusion_resistant::{
     khop_set, neighborhood_payments, neighborhood_set, q_set_payments, scheme_feasible,
     SetRemovalPricing,
@@ -67,7 +67,7 @@ pub use collusion_resistant::{
 pub use delta::{classify_delta, DirtyRegion, EpochOutcome, GraphDelta, IncrementalEngine};
 pub use directed::{directed_payments, incurred_cost};
 pub use edge_agents::{fast_edge_payments, naive_edge_payments, EdgePricing};
-pub use fast::{fast_payments, price_all_sources};
+pub use fast::fast_payments;
 pub use fast_symmetric::{fast_symmetric_payments, is_symmetric};
 pub use mechanism_impl::{EdgeVcgUnicast, Engine, NeighborhoodUnicast, VcgUnicast};
 pub use naive::{naive_payments, replacement_cost};

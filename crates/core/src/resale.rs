@@ -17,7 +17,7 @@
 
 use truthcast_graph::{Cost, NodeId, NodeWeightedGraph};
 
-use crate::fast::price_all_sources;
+use crate::all_sources::all_sources_payments;
 use crate::pricing::UnicastPricing;
 
 /// A profitable resale collusion between a source and one of its neighbors.
@@ -46,7 +46,7 @@ impl ResaleOpportunity {
 /// resale opportunities. Nodes with unreachable or monopoly-priced paths
 /// are skipped.
 pub fn find_resale_opportunities(g: &NodeWeightedGraph, ap: NodeId) -> Vec<ResaleOpportunity> {
-    let pricings: Vec<Option<UnicastPricing>> = price_all_sources(g, ap);
+    let pricings: Vec<Option<UnicastPricing>> = all_sources_payments(g, ap);
 
     let mut out = Vec::new();
     for i in g.node_ids() {

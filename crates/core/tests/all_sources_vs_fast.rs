@@ -16,7 +16,7 @@
 
 use truthcast_core::all_sources::{all_sources_payments, AllSourcesEngine};
 use truthcast_core::batch::{PaymentEngine, SessionQuery};
-use truthcast_core::{fast_payments, fast_symmetric_payments, price_all_sources, UnicastPricing};
+use truthcast_core::{fast_payments, fast_symmetric_payments, UnicastPricing};
 use truthcast_graph::generators::{erdos_renyi, random_udg};
 use truthcast_graph::geometry::Region;
 use truthcast_graph::{Adjacency, Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph};
@@ -119,9 +119,8 @@ fn node_table_matches_the_batch_engine() {
     });
 }
 
-/// `price_all_sources` (now a thin wrapper over the engine) still honors
-/// its historical contract: one `fast_payments`-identical entry per
-/// non-AP node.
+/// The one-shot `all_sources_payments` wrapper over the engine holds the
+/// same contract: one `fast_payments`-identical entry per non-AP node.
 #[test]
 fn price_all_sources_wrapper_matches() {
     forall!(cases(24), (0u64..1 << 48, bools()), |(seed, udg)| {
@@ -129,7 +128,6 @@ fn price_all_sources_wrapper_matches() {
         let n = adj.num_nodes();
         let g = NodeWeightedGraph::new(adj, random_costs(n, seed, true));
         let ap = NodeId(0);
-        prop_assert_eq!(price_all_sources(&g, ap), oracle_table(&g, ap));
         prop_assert_eq!(all_sources_payments(&g, ap), oracle_table(&g, ap));
         Ok(())
     });

@@ -1,4 +1,4 @@
-//! Differential property suite: the batch payment engines must be
+//! Differential property suite: the batch payment engine must be
 //! **bit-identical** to the per-session algorithms at every thread count.
 //!
 //! The engine's determinism contract (DESIGN.md §8) is that sharding a
@@ -12,11 +12,11 @@
 //! Case count scales with `TRUTHCAST_CASES` (the CI heavy battery sets
 //! it); a failure prints the `TRUTHCAST_SEED` that reproduces it.
 
-use truthcast_core::batch::{LinkPaymentEngine, PaymentEngine, SessionQuery};
-use truthcast_core::{fast_payments, fast_symmetric_payments, price_all_sources};
+use truthcast_core::batch::{PaymentEngine, SessionQuery};
+use truthcast_core::fast_payments;
 use truthcast_graph::generators::{erdos_renyi, random_udg};
 use truthcast_graph::geometry::Region;
-use truthcast_graph::{Adjacency, Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph};
+use truthcast_graph::{Adjacency, Cost, NodeId, NodeWeightedGraph};
 use truthcast_rt::{bools, cases, forall, prop_assert_eq, Rng, SeedableRng, SmallRng};
 
 /// The thread counts every batch is re-priced under. Includes 1 (the
@@ -101,29 +101,6 @@ fn node_batch_matches_fast_payments() {
     });
 }
 
-/// The all-to-AP convenience equals the sequential `price_all_sources`
-/// slot for slot (the AP's own slot is `None`).
-#[test]
-fn all_to_ap_matches_sequential_sweep() {
-    forall!(cases(32), (0u64..1 << 48, bools()), |(seed, udg)| {
-        let adj = random_topology(seed, udg);
-        let n = adj.num_nodes();
-        let g = NodeWeightedGraph::new(adj, random_costs(n, seed, false));
-        let ap = NodeId((seed % n as u64) as u32);
-        let expected = price_all_sources(&g, ap);
-        for threads in THREADS {
-            let mut engine = PaymentEngine::with_threads(&g, threads);
-            prop_assert_eq!(
-                &engine.price_all_to_ap(ap),
-                &expected,
-                "threads={}",
-                threads
-            );
-        }
-        Ok(())
-    });
-}
-
 /// Mixed destinations in one batch: the cache holds one table per
 /// distinct destination and every session still matches its per-session
 /// run.
@@ -156,74 +133,6 @@ fn mixed_destination_batch_matches() {
         }
         Ok(())
     });
-}
-
-/// Symmetric link-cost model: batch output equals
-/// `fast_symmetric_payments` per session at every thread count.
-#[test]
-fn link_batch_matches_fast_symmetric_payments() {
-    forall!(cases(48), (0u64..1 << 48, bools(), bools()), |(
-        seed,
-        udg,
-        ties,
-    )| {
-        let adj = random_topology(seed, udg);
-        let n = adj.num_nodes();
-        // Separate RNG stream from the node-model cost draw.
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x11ab);
-        let mut arcs: Vec<(NodeId, NodeId, Cost)> = Vec::new();
-        for (u, v) in adj.edges() {
-            let w = Cost::from_units(if ties {
-                rng.gen_range(0..4)
-            } else {
-                rng.gen_range(1..500_000)
-            });
-            arcs.push((u, v, w));
-            arcs.push((v, u, w));
-        }
-        let g = LinkWeightedDigraph::from_arcs(n, arcs);
-        let ap = NodeId(0);
-        let qs = sessions_to_ap(n, ap);
-        let expected: Vec<_> = qs
-            .iter()
-            .map(|q| fast_symmetric_payments(&g, q.source, q.target))
-            .collect();
-        for threads in THREADS {
-            let mut engine = LinkPaymentEngine::with_threads(&g, threads);
-            let got = engine.price_batch(&qs);
-            prop_assert_eq!(&got, &expected, "threads={}", threads);
-        }
-        Ok(())
-    });
-}
-
-/// An asymmetric digraph prices every session to `None`, exactly like
-/// the per-session algorithm.
-#[test]
-fn asymmetric_link_batch_is_all_none() {
-    let g = LinkWeightedDigraph::from_arcs(
-        3,
-        [
-            (NodeId(0), NodeId(1), Cost::from_units(1)),
-            (NodeId(1), NodeId(0), Cost::from_units(2)), // asymmetric pair
-            (NodeId(1), NodeId(2), Cost::from_units(3)),
-            (NodeId(2), NodeId(1), Cost::from_units(3)),
-        ],
-    );
-    let qs = [
-        SessionQuery::new(NodeId(0), NodeId(2)),
-        SessionQuery::new(NodeId(1), NodeId(2)),
-    ];
-    for threads in THREADS {
-        let mut engine = LinkPaymentEngine::with_threads(&g, threads);
-        assert!(!engine.is_symmetric());
-        assert_eq!(engine.price_batch(&qs), vec![None, None]);
-        assert_eq!(
-            fast_symmetric_payments(&g, NodeId(0), NodeId(2)),
-            None,
-            "oracle agrees the asymmetric graph is unpriceable"
-        );
-    }
 }
 
 /// Empty batches are fine at every thread count.

@@ -2,7 +2,8 @@
 //! an `Arc` that a zero-delta epoch returns again unchanged (no copy),
 //! and that no later epoch writes into. A caller holding an epoch's
 //! table across a repair epoch or a warm-resize epoch still holds that
-//! epoch's cold-oracle table.
+//! epoch's cold-oracle table. A table nobody else holds is repaired in
+//! place: the engine keeps one table, not a working copy beside it.
 
 use std::sync::Arc;
 
@@ -81,6 +82,31 @@ fn published_tables_are_shared_and_never_mutated() {
         prop_assert_eq!(&*t2, &all_sources_payments(&g2, ap), "warm-resize epoch");
         prop_assert_eq!(&*t1, &all_sources_payments(&g1, ap), "held across a resize");
         prop_assert_eq!(&*t0, &all_sources_payments(&g0, ap), "held across both");
+        Ok(())
+    });
+}
+
+#[test]
+fn a_dropped_table_is_repaired_in_place() {
+    forall!(cases(16), (0u64..1 << 48,), |(seed,)| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(12..40);
+        let g0 = udg(n, &mut rng);
+        let ap = NodeId(0);
+        let mut engine = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
+
+        // The caller drops the table, so the engine holds the only one.
+        let ptr = Arc::as_ptr(&engine.price_epoch(&g0, ap));
+        let v = NodeId(rng.gen_range(1..n as u32));
+        let g1 = g0.with_declared(v, Cost::from_units(rng.gen_range(20..40)));
+        let t1 = engine.price_epoch(&g1, ap);
+        prop_assert!(
+            matches!(engine.last_outcome(), EpochOutcome::Repaired { .. }),
+            "{:?}",
+            engine.last_outcome()
+        );
+        prop_assert_eq!(Arc::as_ptr(&t1), ptr, "a repair epoch copies nothing");
+        prop_assert_eq!(&*t1, &all_sources_payments(&g1, ap), "repair epoch");
         Ok(())
     });
 }

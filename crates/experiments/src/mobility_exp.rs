@@ -10,10 +10,10 @@
 //! One warm [`IncrementalEngine`] lives across all epochs: per-source
 //! payment totals and routes come from its cached tables, and each epoch
 //! is priced at delta cost — a bit-identical graph short-cuts the whole
-//! recomputation (the old equality cache, now the zero-delta fast path),
-//! a small delta repairs only the dirty subtree slices, and heavy damage
-//! falls back to a cold sweep (`TRUTHCAST_DELTA_THRESHOLD` tunes the
-//! crossover). Every epoch's payments remain bit-identical to cold
+//! recomputation (the zero-delta fast path), a small delta repairs only
+//! the dirty subtree slices, and heavy damage falls back to a cold sweep
+//! (past `truthcast_core::delta::DEFAULT_DAMAGE_THRESHOLD`). Every
+//! epoch's payments remain bit-identical to cold
 //! re-pricing — see `truthcast_core::delta`. Reused epochs skip the
 //! distributed re-convergence too (a real deployment would likewise sit
 //! still), report zero rounds/broadcasts, and are counted by the
@@ -410,10 +410,10 @@ mod tests {
     }
 
     /// Regression for the reuse flag: a single moved node must *not* fire
-    /// the epoch reuse path (the old equality cache and the new zero-delta
-    /// fast path agree on that), and drift/churn must come out finite and
-    /// well-defined over the finite-source intersection even though the
-    /// move disconnects and re-prices part of the graph.
+    /// the epoch reuse path (the zero-delta fast path), and drift/churn
+    /// must come out finite and well-defined over the finite-source
+    /// intersection even though the move disconnects and re-prices part
+    /// of the graph.
     #[test]
     fn one_node_move_does_not_reuse() {
         use truthcast_rt::Rng;

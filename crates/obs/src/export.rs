@@ -186,8 +186,8 @@ fn fmt_value(v: u64) -> String {
 }
 
 /// Renders a snapshot as an aligned, human-readable summary: counters,
-/// histogram digests, exact sketch quantiles, audit-trail totals (first
-/// [`AUDIT_PRINT_CAP`] records in full), and the event count.
+/// histogram digests, exact sketch quantiles, audit-trail totals (the
+/// first 20 records in full), and the event count.
 pub fn summary_table(snap: &Snapshot) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== truthcast-obs summary ==");

@@ -113,7 +113,7 @@ pub fn profiling() -> bool {
 }
 
 /// Turns span-tree/flow capture on (implies nothing about [`enabled`];
-/// callers normally [`enable`] too, since spans start at [`span`] which
+/// callers normally [`enable`] too, since spans start at [`span()`] which
 /// is gated on it).
 pub fn enable_profiling() {
     PROFILING.store(true, Ordering::Relaxed);

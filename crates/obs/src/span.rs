@@ -9,7 +9,7 @@
 //! the id of the innermost open span on the same thread at start time
 //! (its *parent*), a per-thread serial, and start/end timestamps on the
 //! collector clock. The records form a forest that the Chrome-trace
-//! exporter ([`crate::export::to_chrome_trace`]) renders as nested
+//! exporter ([`crate::chrome::to_chrome_trace`]) renders as nested
 //! duration events.
 //!
 //! Parent tracking uses a thread-local stack of open span ids, so the
@@ -47,7 +47,7 @@ pub struct SpanRecord {
     /// Id of the innermost span open on the same thread when this span
     /// started, if any.
     pub parent: Option<u64>,
-    /// Span name as passed to [`crate::span`].
+    /// Span name as passed to [`crate::span()`].
     pub name: &'static str,
     /// Serial of the thread the span started on (see [`thread_serial`]).
     pub thread: u64,
@@ -78,7 +78,7 @@ struct Started {
     tree: Option<TreeCtx>,
 }
 
-/// A timing span: started by [`crate::span`], it records its wall-clock
+/// A timing span: started by [`crate::span()`], it records its wall-clock
 /// duration into the histogram `span.<name>_ns` when dropped, and — when
 /// profiling is enabled — a structured [`SpanRecord`] in the causal tree.
 ///

@@ -15,7 +15,7 @@
 //!   seed-reporting on failure (`TRUTHCAST_SEED=… cargo test …`
 //!   reproduces the exact case), and greedy shrinking for integers and
 //!   vectors.
-//! * [`bench`] — a micro-benchmark [`bench::Harness`]: calibrated warmup
+//! * [`mod@bench`] — a micro-benchmark [`bench::Harness`]: calibrated warmup
 //!   plus N timed samples, median/p95 summaries, and `BENCH_<group>.json`
 //!   reports for cross-PR perf trajectories.
 //! * [`par`] — a dependency-free parallel runner over `std::thread::scope`

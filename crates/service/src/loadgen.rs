@@ -121,7 +121,7 @@ pub struct LoadReport {
     /// session's retries add their batches' times too, so the tail
     /// shows backpressure.
     pub latency: QuantileSketch,
-    /// True if a closed-loop run was truncated after [`STALL_ROUNDS`]
+    /// True if a closed-loop run was truncated after `STALL_ROUNDS` (64)
     /// consecutive rounds with zero settlements (no session could ever
     /// settle); `settled` is then short of the configured target.
     pub stalled: bool,

@@ -50,7 +50,8 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Damage threshold override for the shard engines (fraction of n
     /// above which an epoch's repair falls back to a cold sweep).
-    /// `None` keeps the engine default / `TRUTHCAST_DELTA_THRESHOLD`.
+    /// `None` keeps the engine default,
+    /// [`truthcast_core::delta::DEFAULT_DAMAGE_THRESHOLD`].
     /// Purely a performance knob — settled prices are identical either
     /// way.
     pub damage_threshold: Option<f64>,

@@ -37,11 +37,6 @@ pub struct Shard {
     capacity: usize,
     /// Sessions this shard admitted over its lifetime.
     settled: AtomicU64,
-    /// Sessions that settled here but found the queue full.
-    shed: AtomicU64,
-    /// Saturating sum of `total_payment()` over drained settlements,
-    /// in cost micro-units.
-    revenue_micros: AtomicU64,
 }
 
 impl Shard {
@@ -56,7 +51,7 @@ impl Shard {
     ) -> Shard {
         let mut engine = IncrementalEngine::with_threads(threads);
         if let Some(t) = damage_threshold {
-            engine.set_damage_threshold(t);
+            engine = engine.with_damage_threshold(t);
         }
         Shard {
             ap,
@@ -66,8 +61,6 @@ impl Shard {
             queue: Mutex::new(VecDeque::new()),
             capacity,
             settled: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            revenue_micros: AtomicU64::new(0),
         }
     }
 
@@ -116,7 +109,6 @@ impl Shard {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         if q.len() >= self.capacity {
             drop(q);
-            self.shed.fetch_add(1, Ordering::Relaxed);
             truthcast_obs::add("service.sessions.shed", 1);
             false
         } else {
@@ -128,19 +120,15 @@ impl Shard {
         }
     }
 
-    /// Drains every queued settlement, crediting revenue bookkeeping.
-    /// The back-end half of the queue: the load generator calls this
-    /// between rounds, a real deployment would charge payments here.
+    /// Drains every queued settlement. The back-end half of the queue:
+    /// the load generator calls this between rounds, a real deployment
+    /// would charge payments here.
     pub fn drain(&self) -> Vec<Settlement> {
         let drained: Vec<Settlement> = {
             let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
             q.drain(..).collect()
         };
         if !drained.is_empty() {
-            let micros: u64 = drained.iter().fold(0u64, |acc, s| {
-                acc.saturating_add(s.pricing.total_payment().micros())
-            });
-            self.revenue_micros.fetch_add(micros, Ordering::Relaxed);
             truthcast_obs::add("service.queue.drained", drained.len() as u64);
         }
         drained
@@ -149,21 +137,5 @@ impl Shard {
     /// Lifetime admitted-session count.
     pub fn settled(&self) -> u64 {
         self.settled.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime shed-session count.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Saturating lifetime revenue over drained settlements, in cost
-    /// micro-units.
-    pub fn revenue_micros(&self) -> u64 {
-        self.revenue_micros.load(Ordering::Relaxed)
-    }
-
-    /// Current queue depth (for reporting; racy by nature).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 }

@@ -124,6 +124,11 @@ fi
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: every intra-doc link must resolve, so deleting an item
+# cannot leave a dangling link in the docs of the items that remain.
+echo "==> cargo doc --offline --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

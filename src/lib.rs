@@ -42,24 +42,25 @@
 //! assert_eq!(p3.payment_to(NodeId(1)), Cost::ZERO);
 //! ```
 //!
-//! ## Example: batch pricing with threads
+//! ## Example: all-to-AP pricing with threads
 //!
-//! Many sessions over one topology should go through the
-//! [`core::batch::PaymentEngine`], which shares the destination-rooted
-//! sweep across sessions, reuses per-worker buffers, and shards the
-//! batch across threads — with output bit-identical to the per-session
-//! calls at any thread count:
+//! Every node pricing a route to one access point should go through the
+//! [`core::all_sources::AllSourcesEngine`], which prices all sources from
+//! one shared AP-rooted sweep and shards the per-relay detour runs across
+//! threads — with output bit-identical to the per-session calls at any
+//! thread count. (Sessions with mixed destinations go through
+//! [`core::batch::PaymentEngine::price_batch`].)
 //!
 //! ```
-//! use truthcast::core::batch::PaymentEngine;
+//! use truthcast::core::all_sources::AllSourcesEngine;
 //! use truthcast::graph::{NodeId, NodeWeightedGraph};
 //!
 //! let net = NodeWeightedGraph::from_pairs_units(
 //!     &[(0, 1), (1, 3), (0, 2), (2, 3)],
 //!     &[0, 5, 7, 0],
 //! );
-//! let mut engine = PaymentEngine::with_threads(&net, 4);
-//! let priced = engine.price_all_to_ap(NodeId(0));
+//! let mut engine = AllSourcesEngine::with_threads(4);
+//! let priced = engine.price_all_sources(&net, NodeId(0));
 //! assert_eq!(priced[0], None); // the access point itself
 //! assert!(priced[3].is_some());
 //! ```
