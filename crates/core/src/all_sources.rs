@@ -26,6 +26,10 @@
 //!    Every arc out of `S` is scanned once per ancestor relay, so the
 //!    total work is `O(Σ_x (m_x + n_x log n_x))` — proportional to the
 //!    *output* table (`Σ_x n_x = Σ_i depth(i)`), not to `n` full sweeps.
+//!    The run's values are kept as one row per relay, in slice order: a
+//!    source reads its replacement cost for relay `x` out of `x`'s row at
+//!    its slice offset ([`SubtreeIntervals::slice_offset`]), the same
+//!    read [`crate::delta::IncrementalEngine`] does on its cached rows.
 //! 4. **Exact fallback.** The replacement *values* above are exact graph
 //!    minima — tie-independent. Only the reported `path` vector is
 //!    tie-sensitive: `fast_payments` breaks shortest-path ties by its
@@ -46,11 +50,13 @@
 //! results are scattered in index order, keeping the output deterministic
 //! and bit-identical at any thread count, matching the batch-engine
 //! contract. A symmetric link-cost variant (paper Section III-F, first
-//! simulation) mirrors [`crate::fast_symmetric_payments`] the same way.
+//! simulation) mirrors [`crate::fast_symmetric_payments`] the same way:
+//! every step above is written once, over the crate-private
+//! `DetourModel` trait that carries what the two models do differently.
 
 use truthcast_graph::dijkstra::{dijkstra_in, DijkstraOptions, Direction};
 use truthcast_graph::heap::IndexedHeap;
-use truthcast_graph::node_dijkstra::NodeDijkstraOptions;
+use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
 use truthcast_graph::workspace::DijkstraWorkspace;
 use truthcast_graph::{
     Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph, Spt, SubtreeIntervals,
@@ -58,16 +64,25 @@ use truthcast_graph::{
 use truthcast_mechanism::vcg::vcg_payment_selected;
 use truthcast_rt::{default_threads, par_map_with};
 
-use crate::batch::{price_link_session, price_node_session, SessionQuery, WorkerScratch};
-use crate::fast_symmetric::is_symmetric;
+use crate::batch::{price_session, SessionQuery, WorkerScratch};
+use crate::fast::replacement_costs;
+use crate::fast_symmetric::{edge_weighted_replacement_costs, is_symmetric};
+use crate::levels::PathLevels;
 use crate::pricing::UnicastPricing;
 use crate::trace::audit_unicast;
 
-/// The two cost models share every phase except seeding/relaxation
-/// arithmetic and the final payment formula; this trait captures the
-/// differences so the crossing-edge machinery is written once.
+/// Everything the two cost models do differently: the sweep, the
+/// seeding/relaxation arithmetic of the detour runs, the per-session
+/// replacement kernel, the declared cost `d_k` in the payment, and the
+/// audit tag. The crossing-edge machinery, the source assembly, the
+/// fallback fan-out and the per-session pipeline are written once over
+/// this trait.
 pub(crate) trait DetourModel: Sync {
+    /// Audit tag of the all-to-AP records priced under this model.
+    const AUDIT_TAG: &'static str;
     fn num_nodes(&self) -> usize;
+    /// The model's single-source sweep from `root` into `ws`.
+    fn sweep(&self, ws: &mut DijkstraWorkspace, root: NodeId);
     /// Visits every out-neighbor `w` of `y` with the arc's model cost
     /// (the neighbor's node cost, or the arc weight).
     fn arcs_from<F: FnMut(NodeId, Cost)>(&self, y: NodeId, f: F);
@@ -79,11 +94,22 @@ pub(crate) trait DetourModel: Sync {
     fn reverse_step(&self, y: NodeId, arc: Cost) -> Cost;
     /// `‖P(v, ap)‖` read off the inclusive table.
     fn lcp_at(&self, v: NodeId, dist: &[Cost]) -> Cost;
+    /// One session's replacement costs `‖P_{-v_l}‖` for `l = 1 … s-1`,
+    /// from the source-rooted table `l_dist` and the target-rooted
+    /// table `r_dist` (Algorithm 1).
+    fn replacements(&self, l_dist: &[Cost], r_dist: &[Cost], lv: &PathLevels) -> Vec<Cost>;
+    /// The relay `path[l]`'s declared cost `d_k`: its node cost, or the
+    /// cost of the arc it forwards on.
+    fn declared(&self, path: &[NodeId], l: usize) -> Cost;
 }
 
 impl DetourModel for NodeWeightedGraph {
+    const AUDIT_TAG: &'static str = "all_sources";
     fn num_nodes(&self) -> usize {
         self.num_nodes()
+    }
+    fn sweep(&self, ws: &mut DijkstraWorkspace, root: NodeId) {
+        node_dijkstra_in(ws, self, root, NodeDijkstraOptions::default());
     }
     #[inline]
     fn arcs_from<F: FnMut(NodeId, Cost)>(&self, y: NodeId, mut f: F) {
@@ -104,11 +130,28 @@ impl DetourModel for NodeWeightedGraph {
     fn lcp_at(&self, v: NodeId, dist: &[Cost]) -> Cost {
         dist[v.index()].saturating_sub(self.cost(v))
     }
+    fn replacements(&self, l_dist: &[Cost], r_dist: &[Cost], lv: &PathLevels) -> Vec<Cost> {
+        replacement_costs(self, l_dist, r_dist, lv)
+    }
+    #[inline]
+    fn declared(&self, path: &[NodeId], l: usize) -> Cost {
+        self.cost(path[l])
+    }
 }
 
 impl DetourModel for LinkWeightedDigraph {
+    const AUDIT_TAG: &'static str = "all_sources_sym";
     fn num_nodes(&self) -> usize {
         self.num_nodes()
+    }
+    fn sweep(&self, ws: &mut DijkstraWorkspace, root: NodeId) {
+        dijkstra_in(
+            ws,
+            self,
+            root,
+            Direction::Forward,
+            DijkstraOptions::default(),
+        );
     }
     #[inline]
     fn arcs_from<F: FnMut(NodeId, Cost)>(&self, y: NodeId, mut f: F) {
@@ -128,6 +171,94 @@ impl DetourModel for LinkWeightedDigraph {
     #[inline]
     fn lcp_at(&self, v: NodeId, dist: &[Cost]) -> Cost {
         dist[v.index()]
+    }
+    fn replacements(&self, l_dist: &[Cost], r_dist: &[Cost], lv: &PathLevels) -> Vec<Cost> {
+        edge_weighted_replacement_costs(self, l_dist, r_dist, lv)
+    }
+    #[inline]
+    fn declared(&self, path: &[NodeId], l: usize) -> Cost {
+        self.arc_cost(path[l], path[l + 1])
+    }
+}
+
+/// The paper's payment `p^k = ‖P_{-v_k}‖ − ‖P‖ + d_k` for every relay
+/// `path[l]`, `l = 1 … s-1`, given its replacement cost `repl(l)`; emits
+/// one audit record per relay under `algo`. Both cost models pay
+/// through here; they differ only in [`DetourModel::declared`].
+pub(crate) fn pay_relays<M: DetourModel>(
+    m: &M,
+    algo: &'static str,
+    path: &[NodeId],
+    lcp_cost: Cost,
+    repl: impl Fn(usize) -> Cost,
+) -> Vec<(NodeId, Cost)> {
+    let s = path.len() - 1;
+    let payments: Vec<(NodeId, Cost)> = (1..s)
+        .map(|l| {
+            let p = vcg_payment_selected(lcp_cost, repl(l), m.declared(path, l));
+            (path[l], p)
+        })
+        .collect();
+    audit_unicast(
+        algo,
+        path[0],
+        path[s],
+        lcp_cost,
+        (1..s).map(|l| (path[l], repl(l), m.declared(path, l), payments[l - 1].1)),
+    );
+    payments
+}
+
+/// Prices the in-tree, non-fallback source `v` off the AP-rooted tree:
+/// its LCP is the tree path, and relay `r`'s replacement cost is `v`'s
+/// entry in `r`'s cached detour row, read by slice offset.
+pub(crate) fn price_tree_source<M: DetourModel>(
+    m: &M,
+    dist: &[Cost],
+    parent: &[Option<NodeId>],
+    iv: &SubtreeIntervals,
+    rows: &[Vec<Cost>],
+    v: NodeId,
+) -> UnicastPricing {
+    let path = tree_path(parent, v);
+    let lcp_cost = m.lcp_at(v, dist);
+    let payments = pay_relays(m, M::AUDIT_TAG, &path, lcp_cost, |l| {
+        let r = path[l];
+        let off = iv.slice_offset(r, v).expect("path relay is an ancestor");
+        rows[r.index()][off - 1]
+    });
+    UnicastPricing {
+        path,
+        lcp_cost,
+        payments,
+    }
+}
+
+/// Re-prices the tie-ambiguous `sources` through the per-session
+/// pipeline against the AP-rooted table `dist`, sharded across
+/// `threads` workers, and writes each result into `out`.
+pub(crate) fn price_fallbacks<M: DetourModel>(
+    m: &M,
+    ap: NodeId,
+    dist: &[Cost],
+    sources: &[NodeId],
+    threads: usize,
+    out: &mut [Option<UnicastPricing>],
+) {
+    let priced = par_map_with(
+        sources.len(),
+        threads,
+        || WorkerScratch::new(m.num_nodes()),
+        |sc, i| {
+            let t0 = WorkerScratch::latency_clock();
+            let q = SessionQuery::new(sources[i], ap);
+            let priced = price_session(m, q, dist, sc, M::AUDIT_TAG);
+            sc.record_latency(t0);
+            priced
+        },
+    );
+    for (&v, p) in sources.iter().zip(priced) {
+        out[v.index()] = p;
     }
 }
 
@@ -175,22 +306,12 @@ pub(crate) fn classify<M: DetourModel>(
     }
 }
 
-/// Per-source replacement-cost rows: `per_source[i][l-1]` is
-/// `‖P_{-r_l}(i, ap)‖` for the `l`-th node on `i`'s LCP (`l = 1 … s-1`),
-/// filled only for non-fallback in-tree sources.
-struct ReplacementTable {
-    per_source: Vec<Vec<Cost>>,
-    runs: u64,
-    scans: u64,
-    pops: u64,
-}
-
 /// Per-worker scratch for the restricted runs: a lazily-reset value
 /// array plus a binary indexed heap (the seeds arrive unsorted, and the
 /// runs are tiny — the radix queue's monotone advantage is in the full
 /// sweeps, mirroring Algorithm 1's level-set runs). The `via` array is
-/// only maintained by [`detour_run_via`]; every run writes each member's
-/// entry before reading it, so no cross-run reset is needed.
+/// only maintained by a `VIA` [`detour_run`]; every run writes each
+/// member's entry before reading it, so no cross-run reset is needed.
 pub(crate) struct DetourScratch {
     pub(crate) dval: Vec<Cost>,
     pub(crate) heap: IndexedHeap<Cost>,
@@ -218,34 +339,14 @@ impl DetourScratch {
 }
 
 /// One restricted Dijkstra over `subtree(x) \ {x}`: returns
-/// `F(y) = ‖P_{-x}(y, ap)‖` for every member, in slice order.
-pub(crate) fn detour_run<M: DetourModel>(
-    m: &M,
-    dist: &[Cost],
-    iv: &SubtreeIntervals,
-    x: NodeId,
-    sc: &mut DetourScratch,
-) -> (Vec<Cost>, u64, u64) {
-    let (vals, _, scans, pops) = detour_run_impl::<M, false>(m, dist, iv, x, sc);
-    (vals, scans, pops)
-}
-
-/// [`detour_run`] plus the support forest: `vias[i]` is the slice member
-/// the `i`-th member's final value relaxed through, `ESC_TAG | w` when
-/// its best escape (to `w`) seeded it directly, or [`ESC_VIA`] when it
-/// is unreachable. The forest lets the delta engine re-certify cached
-/// rows member-by-member across epochs.
-pub(crate) fn detour_run_via<M: DetourModel>(
-    m: &M,
-    dist: &[Cost],
-    iv: &SubtreeIntervals,
-    x: NodeId,
-    sc: &mut DetourScratch,
-) -> (Vec<Cost>, Vec<u32>, u64, u64) {
-    detour_run_impl::<M, true>(m, dist, iv, x, sc)
-}
-
-fn detour_run_impl<M: DetourModel, const VIA: bool>(
+/// `F(y) = ‖P_{-x}(y, ap)‖` for every member, in slice order, plus the
+/// crossing-arc scan and pop counts. With `VIA` it also returns the
+/// support forest: `vias[i]` is the slice member the `i`-th member's
+/// final value relaxed through, `ESC_TAG | w` when its best escape (to
+/// `w`) seeded it directly, or [`ESC_VIA`] when it is unreachable. The
+/// forest lets the delta engine re-certify cached rows member-by-member
+/// across epochs; without `VIA` the returned forest is empty.
+pub(crate) fn detour_run<M: DetourModel, const VIA: bool>(
     m: &M,
     dist: &[Cost],
     iv: &SubtreeIntervals,
@@ -313,12 +414,23 @@ fn detour_run_impl<M: DetourModel, const VIA: bool>(
     (vals, vias, scans, pops)
 }
 
+/// Per-relay detour rows in slice order: `rows[x][i]` is
+/// `F(y) = ‖P_{-x}(y, ap)‖` for the `i`-th member `y` of
+/// `subtree(x)[1..]`, filled only for live relays (non-leaf, not
+/// fallback-marked); a source reads its entry by slice offset.
+struct RelayRows {
+    rows: Vec<Vec<Cost>>,
+    runs: u64,
+    scans: u64,
+    pops: u64,
+}
+
 fn subtree_replacements<M: DetourModel>(
     m: &M,
     dist: &[Cost],
     shared: &SharedSweep,
     threads: usize,
-) -> ReplacementTable {
+) -> RelayRows {
     let n = m.num_nodes();
     let iv = &shared.iv;
     // Every non-leaf tree node except the AP fails some source's session.
@@ -335,33 +447,19 @@ fn subtree_replacements<M: DetourModel>(
         xs.len(),
         threads,
         || DetourScratch::new(n),
-        |sc, i| detour_run(m, dist, iv, xs[i], sc),
+        |sc, i| detour_run::<M, false>(m, dist, iv, xs[i], sc),
     );
 
-    let mut per_source: Vec<Vec<Cost>> = vec![Vec::new(); n];
-    for &v in iv.order().iter().skip(1) {
-        let d = iv.depth(v).expect("preorder node is in tree") as usize;
-        if d >= 2 && !shared.fallback[v.index()] {
-            per_source[v.index()] = vec![Cost::INF; d - 1];
-        }
-    }
+    let mut rows: Vec<Vec<Cost>> = vec![Vec::new(); n];
     let mut scans = 0u64;
     let mut pops = 0u64;
-    for (&x, (vals, s, p)) in xs.iter().zip(results) {
+    for (&x, (vals, _, s, p)) in xs.iter().zip(results) {
         scans += s;
         pops += p;
-        let dx = iv.depth(x).expect("relay is in tree");
-        for (&y, f) in iv.subtree(x)[1..].iter().zip(vals) {
-            if shared.fallback[y.index()] {
-                continue;
-            }
-            let dy = iv.depth(y).expect("subtree node is in tree");
-            // y's path (source first) has x at index l = depth(y) - depth(x).
-            per_source[y.index()][(dy - dx - 1) as usize] = f;
-        }
+        rows[x.index()] = vals;
     }
-    ReplacementTable {
-        per_source,
+    RelayRows {
+        rows,
         runs: xs.len() as u64,
         scans,
         pops,
@@ -369,7 +467,7 @@ fn subtree_replacements<M: DetourModel>(
 }
 
 /// Walks the tree path `v → … → ap` (source first).
-pub(crate) fn tree_path(parent: &[Option<NodeId>], v: NodeId) -> Vec<NodeId> {
+fn tree_path(parent: &[Option<NodeId>], v: NodeId) -> Vec<NodeId> {
     let mut path = vec![v];
     let mut cur = v;
     while let Some(p) = parent[cur.index()] {
@@ -380,7 +478,7 @@ pub(crate) fn tree_path(parent: &[Option<NodeId>], v: NodeId) -> Vec<NodeId> {
     path
 }
 
-fn flush_counters(shared: &SharedSweep, repl: &ReplacementTable, sources: u64, fallbacks: u64) {
+fn flush_counters(shared: &SharedSweep, repl: &RelayRows, sources: u64, fallbacks: u64) {
     if truthcast_obs::enabled() {
         let c = truthcast_obs::collector();
         c.add("core.all_sources.passes", 1);
@@ -391,182 +489,6 @@ fn flush_counters(shared: &SharedSweep, repl: &ReplacementTable, sources: u64, f
         c.add("core.all_sources.crossing_scans", repl.scans);
         c.add("core.all_sources.restricted_pops", repl.pops);
     }
-}
-
-/// Node-model all-sources pricing against a caller-supplied AP-rooted
-/// table (as produced by `node_dijkstra(g, ap, default)`). Returns the
-/// per-node pricings (index `ap` and unreachable sources hold `None`)
-/// plus the fallback count.
-pub(crate) fn node_all_sources_from_table(
-    g: &NodeWeightedGraph,
-    ap: NodeId,
-    dist: &[Cost],
-    parent: &[Option<NodeId>],
-    threads: usize,
-) -> (Vec<Option<UnicastPricing>>, usize) {
-    let n = g.num_nodes();
-    let shared = {
-        let _s = truthcast_obs::span("all_sources.classify");
-        classify(g, dist, parent, ap)
-    };
-    let repl = {
-        let _s = truthcast_obs::span("all_sources.subtree_runs");
-        subtree_replacements(g, dist, &shared, threads)
-    };
-
-    let mut out: Vec<Option<UnicastPricing>> = vec![None; n];
-    let mut fb_sources: Vec<NodeId> = Vec::new();
-    let mut sources = 0u64;
-    let assemble = truthcast_obs::span("all_sources.assemble");
-    for v in g.node_ids() {
-        if v == ap || !shared.iv.in_tree(v) {
-            continue;
-        }
-        sources += 1;
-        if shared.fallback[v.index()] {
-            fb_sources.push(v);
-            continue;
-        }
-        let path = tree_path(parent, v);
-        let s = path.len() - 1;
-        let lcp_cost = g.lcp_at(v, dist);
-        let row = &repl.per_source[v.index()];
-        let payments: Vec<(NodeId, Cost)> = (1..s)
-            .map(|l| {
-                let r = path[l];
-                (r, vcg_payment_selected(lcp_cost, row[l - 1], g.cost(r)))
-            })
-            .collect();
-        audit_unicast(
-            "all_sources",
-            v,
-            ap,
-            lcp_cost,
-            payments
-                .iter()
-                .zip(row)
-                .map(|(&(r, p), &rc)| (r, rc, g.cost(r), p)),
-        );
-        out[v.index()] = Some(UnicastPricing {
-            path,
-            lcp_cost,
-            payments,
-        });
-    }
-    drop(assemble);
-    {
-        let _s = truthcast_obs::span("all_sources.fallback");
-        let priced = par_map_with(
-            fb_sources.len(),
-            threads,
-            || WorkerScratch::new(n),
-            |sc, i| {
-                let t0 = WorkerScratch::latency_clock();
-                let priced = price_node_session(
-                    g,
-                    SessionQuery::new(fb_sources[i], ap),
-                    dist,
-                    sc,
-                    "all_sources",
-                );
-                sc.record_latency(t0);
-                priced
-            },
-        );
-        for (&v, p) in fb_sources.iter().zip(priced) {
-            out[v.index()] = p;
-        }
-    }
-    flush_counters(&shared, &repl, sources, fb_sources.len() as u64);
-    (out, fb_sources.len())
-}
-
-/// Symmetric link-model counterpart (the caller has already verified
-/// symmetry; the table comes from a forward sweep rooted at `ap`).
-pub(crate) fn link_all_sources_from_table(
-    g: &LinkWeightedDigraph,
-    ap: NodeId,
-    dist: &[Cost],
-    parent: &[Option<NodeId>],
-    threads: usize,
-) -> (Vec<Option<UnicastPricing>>, usize) {
-    let n = g.num_nodes();
-    let shared = {
-        let _s = truthcast_obs::span("all_sources.classify");
-        classify(g, dist, parent, ap)
-    };
-    let repl = {
-        let _s = truthcast_obs::span("all_sources.subtree_runs");
-        subtree_replacements(g, dist, &shared, threads)
-    };
-
-    let mut out: Vec<Option<UnicastPricing>> = vec![None; n];
-    let mut fb_sources: Vec<NodeId> = Vec::new();
-    let mut sources = 0u64;
-    let assemble = truthcast_obs::span("all_sources.assemble");
-    for v in g.node_ids() {
-        if v == ap || !shared.iv.in_tree(v) {
-            continue;
-        }
-        sources += 1;
-        if shared.fallback[v.index()] {
-            fb_sources.push(v);
-            continue;
-        }
-        let path = tree_path(parent, v);
-        let s = path.len() - 1;
-        let lcp_cost = g.lcp_at(v, dist);
-        let row = &repl.per_source[v.index()];
-        let payments: Vec<(NodeId, Cost)> = (1..s)
-            .map(|l| {
-                let relay = path[l];
-                let used_arc = g.arc_cost(relay, path[l + 1]);
-                let delta = row[l - 1].saturating_sub(lcp_cost);
-                (relay, used_arc.saturating_add(delta))
-            })
-            .collect();
-        audit_unicast(
-            "all_sources_sym",
-            v,
-            ap,
-            lcp_cost,
-            payments
-                .iter()
-                .enumerate()
-                .map(|(k, &(r, p))| (r, row[k], g.arc_cost(r, path[k + 2]), p)),
-        );
-        out[v.index()] = Some(UnicastPricing {
-            path,
-            lcp_cost,
-            payments,
-        });
-    }
-    drop(assemble);
-    {
-        let _s = truthcast_obs::span("all_sources.fallback");
-        let priced = par_map_with(
-            fb_sources.len(),
-            threads,
-            || WorkerScratch::new(n),
-            |sc, i| {
-                let t0 = WorkerScratch::latency_clock();
-                let priced = price_link_session(
-                    g,
-                    SessionQuery::new(fb_sources[i], ap),
-                    dist,
-                    sc,
-                    "all_sources_sym",
-                );
-                sc.record_latency(t0);
-                priced
-            },
-        );
-        for (&v, p) in fb_sources.iter().zip(priced) {
-            out[v.index()] = p;
-        }
-    }
-    flush_counters(&shared, &repl, sources, fb_sources.len() as u64);
-    (out, fb_sources.len())
 }
 
 /// Reusable all-to-AP pricing engine.
@@ -644,20 +566,7 @@ impl AllSourcesEngine {
         ap: NodeId,
     ) -> Vec<Option<UnicastPricing>> {
         let _span = truthcast_obs::span("core.all_sources");
-        {
-            let _s = truthcast_obs::span("all_sources.spt_sweep");
-            truthcast_graph::node_dijkstra::node_dijkstra_in(
-                &mut self.ws,
-                g,
-                ap,
-                NodeDijkstraOptions::default(),
-            );
-            self.ws.export_into(&mut self.dist, &mut self.parent);
-        }
-        let (out, fallbacks) =
-            node_all_sources_from_table(g, ap, &self.dist, &self.parent, self.threads);
-        self.last_fallbacks = fallbacks;
-        out
+        self.price(g, ap)
     }
 
     /// Prices every node's unicast toward `ap` on the symmetric link-cost
@@ -674,20 +583,52 @@ impl AllSourcesEngine {
             self.last_fallbacks = 0;
             return vec![None; g.num_nodes()];
         }
+        self.price(g, ap)
+    }
+
+    /// One sweep from `ap`, then the shared pipeline of the module docs:
+    /// classify, per-relay detour rows, in-tree assembly, and the
+    /// per-session fallback for tie-ambiguous sources.
+    fn price<M: DetourModel>(&mut self, m: &M, ap: NodeId) -> Vec<Option<UnicastPricing>> {
+        let n = m.num_nodes();
         {
             let _s = truthcast_obs::span("all_sources.spt_sweep");
-            dijkstra_in(
-                &mut self.ws,
-                g,
-                ap,
-                Direction::Forward,
-                DijkstraOptions::default(),
-            );
+            m.sweep(&mut self.ws, ap);
             self.ws.export_into(&mut self.dist, &mut self.parent);
         }
-        let (out, fallbacks) =
-            link_all_sources_from_table(g, ap, &self.dist, &self.parent, self.threads);
-        self.last_fallbacks = fallbacks;
+        let (dist, parent, threads) = (&self.dist, &self.parent, self.threads);
+        let shared = {
+            let _s = truthcast_obs::span("all_sources.classify");
+            classify(m, dist, parent, ap)
+        };
+        let repl = {
+            let _s = truthcast_obs::span("all_sources.subtree_runs");
+            subtree_replacements(m, dist, &shared, threads)
+        };
+
+        let mut out: Vec<Option<UnicastPricing>> = vec![None; n];
+        let mut fb_sources: Vec<NodeId> = Vec::new();
+        let mut sources = 0u64;
+        let assemble = truthcast_obs::span("all_sources.assemble");
+        for v in (0..n as u32).map(NodeId) {
+            if v == ap || !shared.iv.in_tree(v) {
+                continue;
+            }
+            sources += 1;
+            if shared.fallback[v.index()] {
+                fb_sources.push(v);
+                continue;
+            }
+            let priced = price_tree_source(m, dist, parent, &shared.iv, &repl.rows, v);
+            out[v.index()] = Some(priced);
+        }
+        drop(assemble);
+        {
+            let _s = truthcast_obs::span("all_sources.fallback");
+            price_fallbacks(m, ap, dist, &fb_sources, threads, &mut out);
+        }
+        flush_counters(&shared, &repl, sources, fb_sources.len() as u64);
+        self.last_fallbacks = fb_sources.len();
         out
     }
 }

@@ -9,8 +9,9 @@
 //! * **Allocations** — each one-shot sweep builds fresh
 //!   distance/predecessor/heap buffers. A [`PaymentEngine`] holds one
 //!   [`DijkstraWorkspace`] per worker thread and runs every source sweep
-//!   through [`node_dijkstra_in`], so the Dijkstra hot path allocates
-//!   nothing once the buffers reach the graph size.
+//!   through [`truthcast_graph::node_dijkstra::node_dijkstra_in`], so
+//!   the Dijkstra hot path allocates nothing once the buffers reach the
+//!   graph size.
 //! * **The destination-rooted sweep** — Algorithm 1 needs the `R'` table
 //!   (shortest-path tree rooted at the destination). Sessions sharing an
 //!   access point share that table; the engine computes it once per
@@ -29,24 +30,25 @@
 //! (`tests/batch_vs_sequential.rs`) asserts this across thread counts on
 //! random instances.
 //!
+//! The per-session pipeline itself, `price_session`, is generic over the
+//! cost model: the batch engine runs it on the node model, and the
+//! all-to-AP engines ([`crate::AllSourcesEngine`],
+//! [`crate::IncrementalEngine`]) run it on either model for their
+//! tie-ambiguous sources.
+//!
 //! Only the *returned values* are deterministic; observability side
 //! effects (counter increments, audit-record order) interleave freely
 //! across workers.
 
 use std::collections::BTreeMap;
 
-use truthcast_graph::dijkstra::{dijkstra_in, DijkstraOptions, Direction};
-use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions, NodeDistanceTable};
 use truthcast_graph::workspace::DijkstraWorkspace;
-use truthcast_graph::{Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph, Spt};
-use truthcast_mechanism::vcg::vcg_payment_selected;
+use truthcast_graph::{Cost, NodeId, NodeWeightedGraph, Spt};
 use truthcast_rt::{default_threads, par_map_with};
 
-use crate::fast::replacement_costs;
-use crate::fast_symmetric::edge_weighted_replacement_costs;
+use crate::all_sources::{pay_relays, DetourModel};
 use crate::levels::compute_levels;
 use crate::pricing::UnicastPricing;
-use crate::trace::audit_unicast;
 
 /// One unicast pricing request: route `source → target` and pay the
 /// relays.
@@ -147,9 +149,9 @@ impl Drop for WorkerScratch {
 pub struct PaymentEngine<'g> {
     g: &'g NodeWeightedGraph,
     threads: usize,
-    /// Destination-rooted `R'` tables, shared by every session to the
+    /// Destination-rooted `R'` distances, shared by every session to the
     /// same destination.
-    target_tables: BTreeMap<NodeId, NodeDistanceTable>,
+    target_tables: BTreeMap<NodeId, Vec<Cost>>,
 }
 
 impl<'g> PaymentEngine<'g> {
@@ -187,16 +189,8 @@ impl<'g> PaymentEngine<'g> {
         } else {
             truthcast_obs::add("core.batch.target_cache_misses", 1);
             let mut ws = DijkstraWorkspace::with_capacity(self.g.num_nodes());
-            node_dijkstra_in(&mut ws, self.g, target, NodeDijkstraOptions::default());
-            let (dist, parent) = ws.into_tables();
-            self.target_tables.insert(
-                target,
-                NodeDistanceTable {
-                    origin: target,
-                    dist,
-                    parent,
-                },
-            );
+            self.g.sweep(&mut ws, target);
+            self.target_tables.insert(target, ws.into_tables().0);
         }
     }
 
@@ -227,8 +221,7 @@ impl<'g> PaymentEngine<'g> {
                 scratch.sessions += 1;
                 let t0 = WorkerScratch::latency_clock();
                 let q = sessions[i];
-                let tj = &tables[&q.target];
-                let priced = price_node_session(g, q, &tj.dist, scratch, "batch");
+                let priced = price_session(g, q, &tables[&q.target], scratch, "batch");
                 scratch.record_latency(t0);
                 priced
             },
@@ -236,109 +229,38 @@ impl<'g> PaymentEngine<'g> {
     }
 }
 
-/// Prices one node-weighted session inside a worker: the same pipeline as
-/// [`crate::fast_payments`], with the source sweep running through the
-/// worker's workspace and the destination-rooted `R'` distances supplied
-/// by the caller (the engine cache, or the `all_sources` shared sweep).
-/// `algo` tags the audit records.
-pub(crate) fn price_node_session(
-    g: &NodeWeightedGraph,
+/// Prices one session inside a worker: the pipeline of
+/// [`crate::fast_payments`] (node model) or
+/// [`crate::fast_symmetric_payments`] minus its per-call symmetry check
+/// (link model, already checked by the `all_sources` caller), with the
+/// source sweep running through the worker's workspace and the
+/// destination-rooted `R'` distances supplied by the caller (the engine
+/// cache, or the `all_sources` shared sweep). `algo` tags the audit
+/// records.
+pub(crate) fn price_session<M: DetourModel>(
+    m: &M,
     q: SessionQuery,
     tj_dist: &[Cost],
     scratch: &mut WorkerScratch,
     algo: &'static str,
 ) -> Option<UnicastPricing> {
     assert_ne!(q.source, q.target, "unicast endpoints must differ");
-    node_dijkstra_in(&mut scratch.ws, g, q.source, NodeDijkstraOptions::default());
+    m.sweep(&mut scratch.ws, q.source);
     scratch
         .ws
         .export_into(&mut scratch.dist, &mut scratch.parent);
     let spt = Spt::from_parents(q.source, &scratch.parent);
     let lv = compute_levels(&spt, q.target)?;
-    let lcp_cost = scratch.dist[q.target.index()].saturating_sub(g.cost(q.target));
-    let s = lv.hops();
-    if s == 1 {
+    let lcp_cost = m.lcp_at(q.target, &scratch.dist);
+    if lv.hops() == 1 {
         return Some(UnicastPricing {
             path: lv.path,
             lcp_cost,
             payments: vec![],
         });
     }
-    let replacements = replacement_costs(g, &scratch.dist, tj_dist, &lv);
-    let payments: Vec<(NodeId, Cost)> = lv.path[1..s]
-        .iter()
-        .zip(&replacements)
-        .map(|(&r, &repl)| (r, vcg_payment_selected(lcp_cost, repl, g.cost(r))))
-        .collect();
-    audit_unicast(
-        algo,
-        q.source,
-        q.target,
-        lcp_cost,
-        payments
-            .iter()
-            .zip(&replacements)
-            .map(|(&(r, p), &repl)| (r, repl, g.cost(r), p)),
-    );
-    Some(UnicastPricing {
-        path: lv.path,
-        lcp_cost,
-        payments,
-    })
-}
-
-/// Prices one symmetric link-cost session inside a worker: the same
-/// pipeline as [`crate::fast_symmetric_payments`] minus the per-call
-/// symmetry check, which the caller (the `all_sources` link fallback)
-/// has already made. `algo` tags the audit records.
-pub(crate) fn price_link_session(
-    g: &LinkWeightedDigraph,
-    q: SessionQuery,
-    tj_dist: &[Cost],
-    scratch: &mut WorkerScratch,
-    algo: &'static str,
-) -> Option<UnicastPricing> {
-    assert_ne!(q.source, q.target, "unicast endpoints must differ");
-    dijkstra_in(
-        &mut scratch.ws,
-        g,
-        q.source,
-        Direction::Forward,
-        DijkstraOptions::default(),
-    );
-    scratch
-        .ws
-        .export_into(&mut scratch.dist, &mut scratch.parent);
-    let spt = Spt::from_parents(q.source, &scratch.parent);
-    let lv = compute_levels(&spt, q.target)?;
-    let lcp_cost = scratch.dist[q.target.index()];
-    let s = lv.hops();
-    if s == 1 {
-        return Some(UnicastPricing {
-            path: lv.path,
-            lcp_cost,
-            payments: vec![],
-        });
-    }
-    let replacements = edge_weighted_replacement_costs(g, &scratch.dist, tj_dist, &lv);
-    let payments: Vec<(NodeId, Cost)> = (1..s)
-        .map(|l| {
-            let relay = lv.path[l];
-            let used_arc = g.arc_cost(relay, lv.path[l + 1]);
-            let delta = replacements[l - 1].saturating_sub(lcp_cost);
-            (relay, used_arc.saturating_add(delta))
-        })
-        .collect();
-    audit_unicast(
-        algo,
-        q.source,
-        q.target,
-        lcp_cost,
-        payments
-            .iter()
-            .enumerate()
-            .map(|(k, &(r, p))| (r, replacements[k], g.arc_cost(r, lv.path[k + 2]), p)),
-    );
+    let replacements = m.replacements(&scratch.dist, tj_dist, &lv);
+    let payments = pay_relays(m, algo, &lv.path, lcp_cost, |l| replacements[l - 1]);
     Some(UnicastPricing {
         path: lv.path,
         lcp_cost,

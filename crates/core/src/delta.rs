@@ -57,10 +57,12 @@
 //!    root path moved), the members whose `F` value a repaired row
 //!    reports as changed, and the sources whose tie-ambiguity mark
 //!    flipped. Everyone else's
-//!    pricing is reused verbatim. Tie-ambiguous (fallback) sources are
-//!    re-priced through the per-session pipeline **every** epoch: their
-//!    reported path hangs on global sweep tie-breaking, which any remote
-//!    change may flip.
+//!    pricing is reused verbatim. A selected source is priced by the
+//!    same in-tree assembly as the cold engine, reading each relay's
+//!    cached row at the source's slice offset. Tie-ambiguous (fallback)
+//!    sources are re-priced through the same per-session fan-out as the
+//!    cold engine **every** epoch: their reported path hangs on global
+//!    sweep tie-breaking, which any remote change may flip.
 //! 5. **Damage threshold.** When the dirty region plus seed set exceeds
 //!    `threshold × n` the engine falls back to the cold pipeline — repair
 //!    has no asymptotic edge once most of the tree is damaged. The knob
@@ -119,18 +121,15 @@
 use std::sync::Arc;
 
 use truthcast_graph::heap::IndexedHeap;
-use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
 use truthcast_graph::workspace::DijkstraWorkspace;
 use truthcast_graph::{Cost, NodeId, NodeMap, NodeWeightedGraph, SubtreeIntervals};
-use truthcast_mechanism::vcg::vcg_payment_selected;
 use truthcast_rt::{default_threads, par_map_with};
 
 use crate::all_sources::{
-    classify, detour_run_via, tree_path, DetourModel, DetourScratch, SharedSweep, ESC_TAG, ESC_VIA,
+    classify, detour_run, price_fallbacks, price_tree_source, DetourModel, DetourScratch,
+    SharedSweep, ESC_TAG, ESC_VIA,
 };
-use crate::batch::{price_node_session, SessionQuery, WorkerScratch};
 use crate::pricing::UnicastPricing;
-use crate::trace::audit_unicast;
 
 /// Fraction of `n` the dirty region (plus seeds) may reach before
 /// [`IncrementalEngine`] abandons repair for a cold sweep.
@@ -953,7 +952,7 @@ impl IncrementalEngine {
         let n = g.num_nodes();
         {
             let _s = truthcast_obs::span("delta.cold_sweep");
-            node_dijkstra_in(&mut self.ws, g, ap, NodeDijkstraOptions::default());
+            g.sweep(&mut self.ws, ap);
             self.ws.export_into(&mut self.dist, &mut self.parent);
         }
         if self.heap_capacity != n {
@@ -980,7 +979,21 @@ impl IncrementalEngine {
                 xs.push(x);
             }
         }
-        self.run_relays(g, &shared, &xs);
+        {
+            let _s = truthcast_obs::span("delta.subtree_runs");
+            let (dist, iv) = (&self.dist, &shared.iv);
+            let results = par_map_with(
+                xs.len(),
+                self.threads,
+                || DetourScratch::new(n),
+                |sc, i| detour_run::<_, true>(g, dist, iv, xs[i], sc),
+            );
+            for (&x, (vals, vias, _, _)) in xs.iter().zip(results) {
+                self.rows[x.index()] = vals;
+                self.row_via[x.index()] = vias;
+            }
+            truthcast_obs::add("core.delta.subtree_runs", xs.len() as u64);
+        }
         self.published = Arc::new(vec![None; n]);
         let everything = vec![true; n];
         self.assemble(g, ap, &shared, &everything);
@@ -1008,16 +1021,9 @@ impl IncrementalEngine {
                 continue;
             }
             let vid = NodeId(v as u32);
-            let (mut best, mut via) = (Cost::INF, None);
-            for &w in g.neighbors(vid) {
-                // Dirty neighbors sit at infinity here, so only intact
-                // distances — certified upper bounds — can seed.
-                let cand = self.dist[w.index()].saturating_add(g.cost(vid));
-                if cand < best {
-                    best = cand;
-                    via = Some(w);
-                }
-            }
+            // Dirty neighbors sit at infinity here, so only intact
+            // distances — certified upper bounds — can seed.
+            let (best, via) = best_neighbour(g, &self.dist, vid);
             if best.is_finite() {
                 self.dist[v] = best;
                 self.parent[v] = via;
@@ -1028,14 +1034,7 @@ impl IncrementalEngine {
             if region.dirty[x.index()] {
                 continue;
             }
-            let (mut best, mut via) = (Cost::INF, None);
-            for &w in g.neighbors(x) {
-                let cand = self.dist[w.index()].saturating_add(g.cost(x));
-                if cand < best {
-                    best = cand;
-                    via = Some(w);
-                }
-            }
+            let (best, via) = best_neighbour(g, &self.dist, x);
             if best < self.dist[x.index()] {
                 self.dist[x.index()] = best;
                 self.parent[x.index()] = via;
@@ -1199,7 +1198,7 @@ impl IncrementalEngine {
                     let x = xs[i];
                     let xi = x.index();
                     if rank[xi] == NO_RANK {
-                        let (vals, vias, _, _) = detour_run_via(g, dist, iv, x, &mut sc.det);
+                        let (vals, vias, _, _) = detour_run::<_, true>(g, dist, iv, x, &mut sc.det);
                         return RowOutcome {
                             vals,
                             vias,
@@ -1415,27 +1414,6 @@ impl IncrementalEngine {
         seeds
     }
 
-    /// Recomputes the detour rows for `xs` (sharded, scattered in index
-    /// order) and clears their staleness.
-    fn run_relays(&mut self, g: &NodeWeightedGraph, shared: &SharedSweep, xs: &[NodeId]) {
-        let _s = truthcast_obs::span("delta.subtree_runs");
-        let n = g.num_nodes();
-        let dist = &self.dist;
-        let iv = &shared.iv;
-        let results = par_map_with(
-            xs.len(),
-            self.threads,
-            || DetourScratch::new(n),
-            |sc, i| detour_run_via(g, dist, iv, xs[i], sc),
-        );
-        for (&x, (vals, vias, _, _)) in xs.iter().zip(results) {
-            self.rows[x.index()] = vals;
-            self.row_via[x.index()] = vias;
-            self.row_stale[x.index()] = false;
-        }
-        truthcast_obs::add("core.delta.subtree_runs", xs.len() as u64);
-    }
-
     /// Writes pricings for every source selected by `sel`, reading detour
     /// rows out of the cache by slice offset; tie-ambiguous sources are
     /// re-priced per-session *unconditionally* (see module docs). Returns
@@ -1448,7 +1426,6 @@ impl IncrementalEngine {
         sel: &[bool],
     ) -> usize {
         let _s = truthcast_obs::span("delta.assemble");
-        let n = g.num_nodes();
         let iv = &shared.iv;
         let out = Arc::make_mut(&mut self.published);
         let mut fb: Vec<NodeId> = Vec::new();
@@ -1465,66 +1442,33 @@ impl IncrementalEngine {
                 continue;
             }
             repriced += 1;
-            if !iv.in_tree(v) {
-                out[v.index()] = None;
-                continue;
-            }
-            let path = tree_path(&self.parent, v);
-            let s = path.len() - 1;
-            let lcp_cost = g.lcp_at(v, &self.dist);
-            let payments: Vec<(NodeId, Cost)> = (1..s)
-                .map(|l| {
-                    let r = path[l];
-                    let off = iv.slice_offset(r, v).expect("path relay is an ancestor");
-                    (
-                        r,
-                        vcg_payment_selected(lcp_cost, self.rows[r.index()][off - 1], g.cost(r)),
-                    )
-                })
-                .collect();
-            audit_unicast(
-                "all_sources",
-                v,
-                ap,
-                lcp_cost,
-                payments.iter().map(|&(r, p)| {
-                    let off = iv.slice_offset(r, v).expect("path relay is an ancestor");
-                    (r, self.rows[r.index()][off - 1], g.cost(r), p)
-                }),
-            );
-            out[v.index()] = Some(UnicastPricing {
-                path,
-                lcp_cost,
-                payments,
-            });
+            out[v.index()] = iv
+                .in_tree(v)
+                .then(|| price_tree_source(g, &self.dist, &self.parent, iv, &self.rows, v));
         }
         {
             let _s = truthcast_obs::span("delta.fallback");
-            let dist = &self.dist;
-            let priced = par_map_with(
-                fb.len(),
-                self.threads,
-                || WorkerScratch::new(n),
-                |sc, i| {
-                    let t0 = WorkerScratch::latency_clock();
-                    let priced = price_node_session(
-                        g,
-                        SessionQuery::new(fb[i], ap),
-                        dist,
-                        sc,
-                        "all_sources",
-                    );
-                    sc.record_latency(t0);
-                    priced
-                },
-            );
-            for (&v, p) in fb.iter().zip(priced) {
-                out[v.index()] = p;
-            }
+            price_fallbacks(g, ap, &self.dist, &fb, self.threads, out);
         }
         self.last_fallback_sources = fb.len();
         repriced + fb.len()
     }
+}
+
+/// `v`'s best continuation over its neighbours' current distances:
+/// the minimum of `dist[w] + c_v` and the neighbour `w` achieving it.
+/// The comparison is strict, so the first minimum in neighbour order
+/// wins.
+fn best_neighbour(g: &NodeWeightedGraph, dist: &[Cost], v: NodeId) -> (Cost, Option<NodeId>) {
+    let (mut best, mut via) = (Cost::INF, None);
+    for &w in g.neighbors(v) {
+        let cand = dist[w.index()].saturating_add(g.cost(v));
+        if cand < best {
+            best = cand;
+            via = Some(w);
+        }
+    }
+    (best, via)
 }
 
 /// What [`IncrementalEngine::remap_state`] learned about the renumbering,
@@ -1658,7 +1602,7 @@ struct RowOutcome {
 ///
 /// Labels that are achievable and satisfy every constraint are the
 /// exact minima, so the values are bit-identical to a fresh
-/// [`detour_run_via`] (the support forest may break ties differently,
+/// [`detour_run`] (the support forest may break ties differently,
 /// which nothing reads for values).
 #[allow(clippy::too_many_arguments)]
 fn repair_row(

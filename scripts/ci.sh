@@ -124,6 +124,11 @@ fi
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# pipebench is its own cargo workspace, so the workspace lint steps skip
+# it: a core change that makes the benchmark crate warn fails here.
+echo "==> cargo clippy (pipebench) --all-targets -- -D warnings"
+cargo clippy --offline --manifest-path pipebench/Cargo.toml --all-targets -- -D warnings
+
 # Rustdoc gate: every intra-doc link must resolve, so deleting an item
 # cannot leave a dangling link in the docs of the items that remain.
 echo "==> cargo doc --offline --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
@@ -131,5 +136,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+echo "==> cargo fmt --check (pipebench)"
+cargo fmt --check --manifest-path pipebench/Cargo.toml
 
 echo "ci.sh: all green"

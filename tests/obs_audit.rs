@@ -8,8 +8,8 @@
 //! function — parallel test threads sharing the global sink would race on
 //! enable/reset.
 
-use truthcast::core::{fast_payments, naive_payments};
-use truthcast::graph::{Cost, NodeId, NodeWeightedGraph};
+use truthcast::core::{fast_payments, naive_payments, AllSourcesEngine};
+use truthcast::graph::{Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph};
 use truthcast::obs;
 
 /// The golden diamond of `tests/golden_payments.rs`: two disjoint 2-hop
@@ -18,6 +18,18 @@ use truthcast::obs;
 /// `p_1 = 7 − 5 + 5 = 7`.
 fn diamond() -> NodeWeightedGraph {
     NodeWeightedGraph::from_pairs_units(&[(0, 1), (0, 2), (1, 3), (2, 3)], &[0, 5, 7, 0])
+}
+
+/// A symmetric link-cost diamond: routes 0→3 through relay 1 (arcs
+/// `w[0]`, `w[1]`) or relay 2 (arcs `w[2]`, `w[3]`).
+fn link_diamond(w: [u64; 4]) -> LinkWeightedDigraph {
+    let arcs = [(0, 1, w[0]), (1, 3, w[1]), (0, 2, w[2]), (2, 3, w[3])]
+        .into_iter()
+        .flat_map(|(u, v, c)| {
+            let c = Cost::from_units(c);
+            [(NodeId(u), NodeId(v), c), (NodeId(v), NodeId(u), c)]
+        });
+    LinkWeightedDigraph::from_arcs(4, arcs)
 }
 
 #[test]
@@ -111,4 +123,31 @@ fn traced_diamond_audits_reproduce_payments() {
         "every JSONL line is one object"
     );
     let _ = std::fs::remove_file(&path);
+
+    // The symmetric link model through the all-to-AP engine: unique
+    // costs take the in-tree assembly, equal-cost routes the per-session
+    // fallback. Each relay's record declares the arc it forwards on.
+    for (w, falls_back) in [([2, 3, 4, 5], false), ([1, 1, 1, 1], true)] {
+        let g = link_diamond(w);
+        obs::enable();
+        obs::reset();
+        let mut engine = AllSourcesEngine::with_threads(1);
+        let table = engine.price_all_sources_symmetric(&g, NodeId(3));
+        let snap = obs::snapshot();
+        obs::disable();
+
+        assert_eq!(engine.last_fallbacks() > 0, falls_back, "{w:?}");
+        let priced = table[0].as_ref().expect("connected");
+        let audits = snap.audits_for("all_sources_sym", 0, 3);
+        assert!(!audits.is_empty(), "{w:?}: source 0 pays a relay");
+        assert_eq!(audits.len(), priced.payments.len(), "{w:?}: one per relay");
+        for (k, (audit, &(relay, paid))) in audits.iter().zip(&priced.payments).enumerate() {
+            let used_arc = g.arc_cost(relay, priced.path[k + 2]);
+            assert_eq!(audit.relay, relay.0, "{w:?}");
+            assert_eq!(audit.declared_cost_micros, used_arc.micros(), "{w:?}");
+            assert_eq!(audit.payment_micros, paid.micros(), "{w:?}");
+            assert_eq!(audit.expected_payment_micros(), audit.payment_micros);
+            assert!(audit.is_consistent(), "{w:?}: {audit:?}");
+        }
+    }
 }
