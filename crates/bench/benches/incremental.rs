@@ -6,8 +6,8 @@
 //! the paper's setups) and a moved variant with `m` nodes teleported to
 //! fresh uniform positions — the per-epoch damage of a mobile network at
 //! move rate `m`. The timed region alternates the two graphs, so every
-//! iteration prices one *changed* epoch (the zero-delta reuse path never
-//! fires):
+//! iteration diffs and prices one *changed* epoch (the zero-delta reuse
+//! path never fires):
 //!
 //! * `repair_move{m}` — the warm engine with the damage threshold pinned
 //!   to 1.0, so every epoch takes the classify → slice-repair →
@@ -21,7 +21,7 @@
 //! asserted bit-identical before timing.
 
 use truthcast_core::all_sources::AllSourcesEngine;
-use truthcast_core::delta::IncrementalEngine;
+use truthcast_core::delta::{EpochStep, IncrementalEngine};
 use truthcast_graph::generators::{pairs_within_range, random_placement};
 use truthcast_graph::geometry::{Point, Region};
 use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeWeightedGraph};
@@ -69,10 +69,11 @@ fn main() {
             // epoch directions.
             let mut engine = IncrementalEngine::with_threads(1).with_damage_threshold(1.0);
             let mut cold = AllSourcesEngine::with_threads(1);
-            engine.price_epoch(&g0, ap);
-            for g in [&g1, &g0] {
+            engine.price_epoch(&g0, ap, None);
+            for (prev, g) in [(&g0, &g1), (&g1, &g0)] {
+                let step = EpochStep::between(prev, g, None);
                 assert_eq!(
-                    *engine.price_epoch(g, ap),
+                    *engine.price_epoch(g, ap, step.as_ref()),
                     cold.price_all_sources(g, ap),
                     "repair diverged from cold at n={n} moves={moves}"
                 );
@@ -83,17 +84,19 @@ fn main() {
             let mut flip = false;
             h.bench(format!("repair_move{moves}/{n}"), || {
                 flip = !flip;
-                let g = if flip { &g1 } else { &g0 };
-                black_box(engine.price_epoch(g, ap))
+                let (prev, g) = if flip { (&g0, &g1) } else { (&g1, &g0) };
+                let step = EpochStep::between(prev, g, None);
+                black_box(engine.price_epoch(g, ap, step.as_ref()))
             });
         }
 
         // Zero-delta fast path: graph diff + cached-table return. Its
         // cost bounds the fixed per-epoch overhead every repair pays.
         let mut reuse_engine = IncrementalEngine::with_threads(1);
-        reuse_engine.price_epoch(&g0, ap);
+        reuse_engine.price_epoch(&g0, ap, None);
         h.bench(format!("reuse/{n}"), || {
-            black_box(reuse_engine.price_epoch(&g0, ap))
+            let step = EpochStep::between(&g0, &g0, None);
+            black_box(reuse_engine.price_epoch(&g0, ap, step.as_ref()))
         });
 
         h.bench(format!("cold/{n}"), || {

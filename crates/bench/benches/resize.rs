@@ -5,9 +5,10 @@
 //! Each configuration holds a UDG deployment (~12 neighbors/node, like
 //! the paper's setups) and a one-node variant — `join1` appends a node,
 //! `leave1` swap-removes one from the middle. The timed region
-//! alternates the two index spaces through `price_epoch_mapped` with the
-//! matching [`NodeMap`], so every iteration repairs one real resize
-//! (forward on even iterations, the inverse map on odd):
+//! alternates the two index spaces, each epoch diffed through the
+//! matching [`NodeMap`] ([`EpochStep::between`]), so every iteration
+//! repairs one real resize (forward on even iterations, the inverse map
+//! on odd):
 //!
 //! * `join1` / `leave1` — the warm engine with the damage threshold
 //!   pinned to 1.0, so every mapped epoch takes the severed-slice repair
@@ -24,7 +25,7 @@
 //! bit-identical to the cold sweep in both directions before timing.
 
 use truthcast_core::all_sources::AllSourcesEngine;
-use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
+use truthcast_core::delta::{EpochOutcome, EpochStep, IncrementalEngine};
 use truthcast_graph::generators::{pairs_within_range, random_placement};
 use truthcast_graph::geometry::{Point, Region};
 use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeMap, NodeWeightedGraph};
@@ -55,10 +56,11 @@ fn check_roundtrip(
     label: &str,
 ) {
     let mut cold = AllSourcesEngine::with_threads(1);
-    engine.price_epoch(a, ap);
-    for (g, m) in [(b, fwd), (a, rev)] {
+    engine.price_epoch(a, ap, None);
+    for (prev, g, m) in [(a, b, fwd), (b, a, rev)] {
+        let step = EpochStep::between(prev, g, Some(m));
         assert_eq!(
-            *engine.price_epoch_mapped(g, ap, m),
+            *engine.price_epoch(g, ap, step.as_ref()),
             cold.price_all_sources(g, ap),
             "{label}: mapped repair diverged from cold"
         );
@@ -105,12 +107,13 @@ fn main() {
         let mut flip = false;
         h.bench(format!("join1/{n}"), || {
             flip = !flip;
-            let (g, m) = if flip {
-                (&g_plus, &join_fwd)
+            let (prev, g, m) = if flip {
+                (&g0, &g_plus, &join_fwd)
             } else {
-                (&g0, &join_rev)
+                (&g_plus, &g0, &join_rev)
             };
-            black_box(engine.price_epoch_mapped(g, ap, m))
+            let step = EpochStep::between(prev, g, Some(m));
+            black_box(engine.price_epoch(g, ap, step.as_ref()))
         });
 
         // One node leaves from the middle of the index space; the old
@@ -144,12 +147,13 @@ fn main() {
         let mut flip = false;
         h.bench(format!("leave1/{n}"), || {
             flip = !flip;
-            let (g, m) = if flip {
-                (&g_minus, &leave_fwd)
+            let (prev, g, m) = if flip {
+                (&g0, &g_minus, &leave_fwd)
             } else {
-                (&g0, &leave_rev)
+                (&g_minus, &g0, &leave_rev)
             };
-            black_box(engine.price_epoch_mapped(g, ap, m))
+            let step = EpochStep::between(prev, g, Some(m));
+            black_box(engine.price_epoch(g, ap, step.as_ref()))
         });
 
         // The cost every resize epoch paid before the repair plane.

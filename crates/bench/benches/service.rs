@@ -20,6 +20,10 @@
 //! re-warms (alternating two cost profiles, so every epoch repairs
 //! rather than reuses) plus one snapshot publish — the latency a
 //! deployment pays per mobility beat, entirely off the serving path.
+//!
+//! `epoch_reused/n1024/k16` feeds sixteen shards the identical graph
+//! every epoch, so every shard reuses its table: what remains is the
+//! fixed per-epoch cost (one graph diff, k reused tables, one publish).
 
 use truthcast_graph::generators::{pairs_within_range, random_placement};
 use truthcast_graph::geometry::{Point, Region};
@@ -84,6 +88,17 @@ fn main() {
             flip = !flip;
             let epoch = if flip { &g_b } else { &g };
             black_box(service.begin_epoch(epoch).len())
+        });
+    }
+
+    // Fixed per-epoch cost at k = 16: the same graph every epoch, so
+    // every shard-epoch is `Reused`.
+    {
+        let aps: Vec<NodeId> = (0..16u32).map(NodeId).collect();
+        let cfg = ServiceConfig::new(aps).threads(1);
+        let service = PaymentService::new(&cfg, &g);
+        h.bench(format!("epoch_reused/n{N}/k16"), || {
+            black_box(service.begin_epoch(&g).len())
         });
     }
 

@@ -10,10 +10,14 @@
 //!
 //! The pipeline per epoch:
 //!
-//! 1. **Diff.** [`GraphDelta::between`] merge-walks the sorted CSR
-//!    neighbor lists of consecutive epoch graphs into a typed delta:
-//!    undirected arcs added/removed plus per-node declared-cost changes.
-//!    An empty delta is the zero-cost fast path.
+//! 1. **Diff.** [`EpochStep::between`] merge-walks the sorted CSR
+//!    neighbor lists of consecutive epoch graphs ([`GraphDelta::between`])
+//!    into a typed delta: undirected arcs added/removed plus per-node
+//!    declared-cost changes. The diff happens once per epoch, outside
+//!    the engine: [`IncrementalEngine`] stores no graph, and consumes
+//!    the step by reference, so k engines over the same graph stream
+//!    (the payment service's AP shards) share one diff. An empty step is
+//!    the zero-cost fast path.
 //! 2. **Classify.** [`classify_delta`] maps each delta entry onto the
 //!    previous epoch's [`SubtreeIntervals`]: a cost increase at `x` or a
 //!    severed tree arc `(parent(v), v)` can only worsen the contiguous
@@ -72,8 +76,9 @@
 //! **Cross-resize repair.** A node join or leave changes the node count,
 //! which used to force the cold pipeline ([`EpochOutcome::ColdResize`]).
 //! With a caller-supplied [`NodeMap`] (stable identities across the
-//! renumbering), [`IncrementalEngine::price_epoch_mapped`] instead
-//! translates every piece of warm state into the new index space —
+//! renumbering), the step is projected into the new index space
+//! ([`GraphDelta::between_mapped`]) and [`IncrementalEngine::price_epoch`]
+//! instead translates every piece of warm state into that space —
 //! distance/parent tables, cached pricings, detour rows member-by-member
 //! with their support forests, and the subtree intervals via
 //! [`SubtreeIntervals::remap`] — then runs the *same* pipeline:
@@ -313,6 +318,80 @@ pub struct MappedDelta {
     pub died: usize,
 }
 
+/// One epoch transition, diffed once and consumed by any number of
+/// [`IncrementalEngine`]s: the [`MappedDelta`] between two consecutive
+/// epoch graphs plus the [`NodeMap`] it was taken through. The payment
+/// service builds one step per epoch and hands it to all k AP shards,
+/// so no engine stores a graph or diffs one.
+#[derive(Clone, Debug)]
+pub struct EpochStep {
+    delta: MappedDelta,
+    /// The map the delta was taken through; `None` for an identity map
+    /// (same node set, same indices).
+    map: Option<NodeMap>,
+    old_len: usize,
+    new_len: usize,
+}
+
+impl EpochStep {
+    /// Diffs `old` against `new` through `map`. `None` or an identity map
+    /// takes the merge walk of [`GraphDelta::between`]; any other map
+    /// projects through [`GraphDelta::between_mapped`]. Returns `None`
+    /// when no map is given and the node counts differ: without
+    /// identities there is nothing to diff, and the engine re-prices
+    /// cold ([`EpochOutcome::ColdResize`]).
+    ///
+    /// # Panics
+    /// If the map's endpoint lengths don't match the two graphs.
+    pub fn between(
+        old: &NodeWeightedGraph,
+        new: &NodeWeightedGraph,
+        map: Option<&NodeMap>,
+    ) -> Option<EpochStep> {
+        let (old_len, new_len) = (old.num_nodes(), new.num_nodes());
+        if let Some(m) = map {
+            assert_eq!(
+                (m.old_len(), m.new_len()),
+                (old_len, new_len),
+                "map lengths must match the two graphs"
+            );
+        }
+        let (delta, map) = match map.filter(|m| !m.is_identity()) {
+            Some(m) => (GraphDelta::between_mapped(old, new, m), Some(m.clone())),
+            None => {
+                let delta = GraphDelta::between(old, new)?;
+                let delta = MappedDelta {
+                    delta,
+                    ..MappedDelta::default()
+                };
+                (delta, None)
+            }
+        };
+        Some(EpochStep {
+            delta,
+            map,
+            old_len,
+            new_len,
+        })
+    }
+
+    /// The diff, in the new index space.
+    pub fn delta(&self) -> &GraphDelta {
+        &self.delta.delta
+    }
+
+    /// Where previous-epoch node `v` lives in the new graph.
+    fn to_new(&self, v: NodeId) -> Option<NodeId> {
+        self.map.as_ref().map_or(Some(v), |m| m.to_new(v))
+    }
+
+    /// Whether the two graphs are bit-identical under the same indices:
+    /// an engine consuming an empty step reuses its table unchanged.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_none() && self.delta.delta.is_empty()
+    }
+}
+
 /// The region of the previous epoch's SPT a delta can affect: dirty
 /// preorder slices (distances may worsen) plus decrease seeds (distances
 /// may only improve). Produced by [`classify_delta`].
@@ -479,7 +558,7 @@ pub enum EpochOutcome {
 /// pipeline and the bit-equality argument).
 ///
 /// ```
-/// use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
+/// use truthcast_core::delta::{EpochOutcome, EpochStep, IncrementalEngine};
 /// use truthcast_core::all_sources_payments;
 /// use truthcast_graph::{NodeId, NodeWeightedGraph};
 ///
@@ -489,10 +568,14 @@ pub enum EpochOutcome {
 ///
 /// let mut engine = IncrementalEngine::new();
 /// let ap = NodeId(3);
-/// assert_eq!(*engine.price_epoch(&e0, ap), all_sources_payments(&e0, ap));
+/// // No step: the first epoch prices cold.
+/// assert_eq!(*engine.price_epoch(&e0, ap, None), all_sources_payments(&e0, ap));
 /// assert_eq!(engine.last_outcome(), EpochOutcome::Cold);
-/// // Node 2 re-declares: only its branch is repaired, same table as cold.
-/// assert_eq!(*engine.price_epoch(&e1, ap), all_sources_payments(&e1, ap));
+/// // Node 2 re-declares: the step names the change, only its branch is
+/// // repaired, same table as cold.
+/// let step = EpochStep::between(&e0, &e1, None).expect("same node set");
+/// assert_eq!(step.delta().len(), 1);
+/// assert_eq!(*engine.price_epoch(&e1, ap, Some(&step)), all_sources_payments(&e1, ap));
 /// assert!(matches!(engine.last_outcome(), EpochOutcome::Repaired { .. }));
 /// ```
 pub struct IncrementalEngine {
@@ -517,7 +600,9 @@ pub struct IncrementalEngine {
     /// `Reused` epochs. Repair epochs edit it through `Arc::make_mut`,
     /// so a table a caller still holds is never written.
     published: Arc<Vec<Option<UnicastPricing>>>,
-    prev: Option<(NodeWeightedGraph, NodeId)>,
+    /// Node count and AP of the epoch last priced: all the engine keeps
+    /// of the previous graph. The next [`EpochStep`] carries the rest.
+    prev: Option<(usize, NodeId)>,
     touched: Vec<bool>,
     /// Pre-repair snapshots of the distance and parent tables, taken at
     /// the top of every repair epoch: the row seeds compare against them
@@ -625,114 +710,81 @@ impl IncrementalEngine {
         &self.touched
     }
 
-    /// Prices every node's unicast toward `ap` for the next epoch graph,
+    /// Prices every node's unicast toward `ap` for the epoch graph `g`,
     /// repairing incrementally from the previous epoch when profitable.
     /// `out[i]` is bit-identical to [`crate::all_sources_payments`]
     /// (and so to [`crate::fast_payments`]); index `ap` and unreachable
     /// sources hold `None`.
+    ///
+    /// `step` is the transition from the graph this engine priced last
+    /// to `g` ([`EpochStep::between`]); the engine stores no graph of
+    /// its own, so one step can feed any number of engines. `None`
+    /// re-prices cold: [`EpochOutcome::ColdResize`] if the node count
+    /// changed under the same AP, [`EpochOutcome::Cold`] otherwise. An
+    /// empty step is [`EpochOutcome::Reused`]; an identity step repairs
+    /// ([`EpochOutcome::Repaired`]); a step through a non-identity
+    /// [`NodeMap`] repairs across the join/leave
+    /// ([`EpochOutcome::WarmResize`]). Either repair falls back cold past
+    /// the damage threshold ([`EpochOutcome::Fallback`]). `ap` names the
+    /// access point in `g`'s index space; the warm paths require the
+    /// previous AP to map onto it, and re-price cold otherwise.
     ///
     /// The returned table is shared, never mutated while the caller
     /// holds it: a [`EpochOutcome::Reused`] epoch returns the previous
     /// epoch's `Arc` itself. A repair epoch returns the previous
     /// allocation edited in place if the caller dropped it, and a copy
     /// otherwise; a cold epoch returns a fresh table.
+    ///
+    /// # Panics
+    /// If the step's node counts don't match `g` and the previous epoch.
+    /// Both are checked before any state changes, so the engine is still
+    /// warm for a correct retry.
     pub fn price_epoch(
         &mut self,
         g: &NodeWeightedGraph,
         ap: NodeId,
+        step: Option<&EpochStep>,
     ) -> Arc<Vec<Option<UnicastPricing>>> {
-        let _span = truthcast_obs::span("core.delta.price_epoch");
         let n = g.num_nodes();
-        match self.prev.take() {
-            Some((pg, pap)) if pap == ap && pg.num_nodes() == n => {
-                let delta = GraphDelta::between(&pg, g).expect("node counts match");
-                if delta.is_empty() {
-                    truthcast_obs::add("core.delta.reuses", 1);
-                    self.prev = Some((pg, pap));
-                    self.last_outcome = EpochOutcome::Reused;
-                    return Arc::clone(&self.published);
-                }
-                truthcast_obs::add("core.delta.deltas", delta.len() as u64);
-                if let Some(r) = self.repair_or_fall_back(g, ap, &delta, &[], &[], &[]) {
-                    self.last_outcome = EpochOutcome::Repaired {
-                        dirty_nodes: r.dirty_nodes,
-                        repaired_slices: r.slices,
-                        repriced_sources: r.repriced,
-                    };
-                }
+        if let Some(s) = step {
+            assert_eq!(s.new_len, n, "step new_len must match the epoch graph");
+            if let Some((pn, _)) = self.prev {
+                assert_eq!(s.old_len, pn, "step old_len must match the previous epoch");
             }
-            Some((pg, pap)) if pap == ap && pg.num_nodes() != n => {
+        }
+        let _span = truthcast_obs::span("core.delta.price_epoch");
+        // Taken, not read: a panic below leaves the engine cold.
+        let prev = self.prev.take();
+        match (prev, step) {
+            (Some((_, pap)), Some(s)) if s.to_new(pap) == Some(ap) => match &s.map {
+                None if s.is_empty() => {
+                    truthcast_obs::add("core.delta.reuses", 1);
+                    self.last_outcome = EpochOutcome::Reused;
+                }
+                None => {
+                    truthcast_obs::add("core.delta.deltas", s.delta().len() as u64);
+                    if let Some(r) = self.repair_or_fall_back(g, ap, s.delta(), &[], &[], &[]) {
+                        self.last_outcome = EpochOutcome::Repaired {
+                            dirty_nodes: r.dirty_nodes,
+                            repaired_slices: r.slices,
+                            repriced_sources: r.repriced,
+                        };
+                    }
+                }
+                Some(map) => self.warm_resize(g, ap, &s.delta, map),
+            },
+            (Some((pn, pap)), None) if pap == ap && pn != n => {
                 truthcast_obs::add("core.delta.cold_resizes", 1);
                 self.cold(g, ap);
-                self.last_outcome = EpochOutcome::ColdResize {
-                    from: pg.num_nodes(),
-                    to: n,
-                };
+                self.last_outcome = EpochOutcome::ColdResize { from: pn, to: n };
             }
             _ => {
                 self.cold(g, ap);
                 self.last_outcome = EpochOutcome::Cold;
             }
         }
-        self.publish(g, ap)
-    }
-
-    /// Ends a repair or cold epoch: remembers `g` for the next diff and
-    /// hands out the table.
-    fn publish(&mut self, g: &NodeWeightedGraph, ap: NodeId) -> Arc<Vec<Option<UnicastPricing>>> {
-        self.prev = Some((g.clone(), ap));
+        self.prev = Some((n, ap));
         Arc::clone(&self.published)
-    }
-
-    /// [`IncrementalEngine::price_epoch`] across a resize: `map` carries
-    /// each previous-epoch node's identity into `g`'s index space, so
-    /// join/leave epochs repair warm ([`EpochOutcome::WarmResize`])
-    /// instead of re-pricing cold. The output is still bit-identical to
-    /// [`crate::all_sources_payments`] over `g`, and the damage
-    /// threshold still governs: a churn epoch whose dirty region crosses
-    /// it falls back cold and reports [`EpochOutcome::Fallback`].
-    ///
-    /// `ap` names the access point *in the new index space*; the warm
-    /// path requires the previous AP to survive as `ap` (it may have
-    /// been renumbered by the map). An identity map delegates to
-    /// [`IncrementalEngine::price_epoch`].
-    ///
-    /// # Panics
-    /// If the map's endpoint lengths don't match `g` and the previous
-    /// epoch's graph. Both are checked before any state changes, so the
-    /// engine is still warm for a correct retry.
-    pub fn price_epoch_mapped(
-        &mut self,
-        g: &NodeWeightedGraph,
-        ap: NodeId,
-        map: &NodeMap,
-    ) -> Arc<Vec<Option<UnicastPricing>>> {
-        assert_eq!(
-            map.new_len(),
-            g.num_nodes(),
-            "map new_len must match the epoch graph"
-        );
-        if map.is_identity() {
-            return self.price_epoch(g, ap);
-        }
-        if let Some((pg, _)) = &self.prev {
-            assert_eq!(
-                map.old_len(),
-                pg.num_nodes(),
-                "map old_len must match the previous epoch graph"
-            );
-        }
-        let _span = truthcast_obs::span("core.delta.price_epoch");
-        match self.prev.take() {
-            Some((pg, pap)) if map.to_new(pap) == Some(ap) => {
-                self.warm_resize(g, ap, &pg, map);
-            }
-            _ => {
-                self.cold(g, ap);
-                self.last_outcome = EpochOutcome::Cold;
-            }
-        }
-        self.publish(g, ap)
     }
 
     /// The cross-resize pipeline: translate warm state under the map,
@@ -742,15 +794,8 @@ impl IncrementalEngine {
     /// re-run seed set and stripped of their row certificates, and the
     /// parents whose children the renumbering reordered added to the
     /// re-run seed set.
-    fn warm_resize(
-        &mut self,
-        g: &NodeWeightedGraph,
-        ap: NodeId,
-        pg: &NodeWeightedGraph,
-        map: &NodeMap,
-    ) {
+    fn warm_resize(&mut self, g: &NodeWeightedGraph, ap: NodeId, md: &MappedDelta, map: &NodeMap) {
         let _resize_span = truthcast_obs::span("core.delta.resize");
-        let md = GraphDelta::between_mapped(pg, g, map);
         truthcast_obs::add("core.delta.deltas", md.delta.len() as u64);
         let remapped = self.remap_state(map);
         if let Some(r) = self.repair_or_fall_back(
@@ -1788,6 +1833,18 @@ mod tests {
         NodeWeightedGraph::from_pairs_units(pairs, costs)
     }
 
+    /// Prices `next` on an engine that last priced `prev`, through the
+    /// step between them.
+    fn advance(
+        e: &mut IncrementalEngine,
+        prev: &NodeWeightedGraph,
+        next: &NodeWeightedGraph,
+        ap: NodeId,
+        map: Option<&NodeMap>,
+    ) -> Arc<Vec<Option<UnicastPricing>>> {
+        e.price_epoch(next, ap, EpochStep::between(prev, next, map).as_ref())
+    }
+
     #[test]
     fn delta_between_detects_all_change_kinds() {
         let old = units(&[(0, 1), (1, 2), (0, 3)], &[0, 5, 7, 2]);
@@ -1814,9 +1871,9 @@ mod tests {
     fn identical_epoch_reuses() {
         let g = units(&[(0, 1), (1, 3), (0, 2), (2, 3)], &[0, 5, 7, 0]);
         let mut e = IncrementalEngine::with_threads(2);
-        let first = e.price_epoch(&g, NodeId(3));
+        let first = e.price_epoch(&g, NodeId(3), None);
         assert_eq!(e.last_outcome(), EpochOutcome::Cold);
-        let second = e.price_epoch(&g, NodeId(3));
+        let second = advance(&mut e, &g, &g, NodeId(3), None);
         assert_eq!(e.last_outcome(), EpochOutcome::Reused);
         assert!(
             Arc::ptr_eq(&first, &second),
@@ -1830,9 +1887,10 @@ mod tests {
         let pairs = [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)];
         let mut e = IncrementalEngine::with_threads(2);
         let ap = NodeId(3);
-        e.price_epoch(&units(&pairs, &[0, 5, 7, 0]), ap);
+        let g0 = units(&pairs, &[0, 5, 7, 0]);
+        e.price_epoch(&g0, ap, None);
         let g1 = units(&pairs, &[0, 5, 3, 0]);
-        let got = e.price_epoch(&g1, ap);
+        let got = advance(&mut e, &g0, &g1, ap, None);
         assert!(matches!(e.last_outcome(), EpochOutcome::Repaired { .. }));
         assert_eq!(*got, all_sources_payments(&g1, ap));
         let (dist, _) = e.tables();
@@ -1846,9 +1904,10 @@ mod tests {
         let pairs = [(0, 1), (1, 2), (0, 2)];
         let mut e = IncrementalEngine::with_threads(1).with_damage_threshold(0.0);
         let ap = NodeId(0);
-        e.price_epoch(&units(&pairs, &[0, 4, 9]), ap);
+        let g0 = units(&pairs, &[0, 4, 9]);
+        e.price_epoch(&g0, ap, None);
         let g1 = units(&pairs, &[0, 4, 2]);
-        let got = e.price_epoch(&g1, ap);
+        let got = advance(&mut e, &g0, &g1, ap, None);
         assert!(matches!(e.last_outcome(), EpochOutcome::Fallback { .. }));
         assert_eq!(*got, all_sources_payments(&g1, ap));
     }
@@ -1858,9 +1917,10 @@ mod tests {
         let pairs = [(0, 1), (1, 2)];
         let mut e = IncrementalEngine::with_threads(1);
         let ap = NodeId(0);
-        let before = e.price_epoch(&units(&pairs, &[3, 4, 9]), ap);
+        let g0 = units(&pairs, &[3, 4, 9]);
+        let before = e.price_epoch(&g0, ap, None);
         let g1 = units(&pairs, &[8, 4, 9]);
-        let after = e.price_epoch(&g1, ap);
+        let after = advance(&mut e, &g0, &g1, ap, None);
         assert_eq!(
             e.last_outcome(),
             EpochOutcome::Repaired {
@@ -1882,12 +1942,12 @@ mod tests {
         let ap = NodeId(0);
         let full = units(&[(0, 1), (1, 2)], &[0, 4, 6]);
         let cut = units(&[(0, 1)], &[0, 4, 6]);
-        e.price_epoch(&full, ap);
-        let t1 = e.price_epoch(&cut, ap);
+        e.price_epoch(&full, ap, None);
+        let t1 = advance(&mut e, &full, &cut, ap, None);
         assert!(matches!(e.last_outcome(), EpochOutcome::Repaired { .. }));
         assert!(t1[2].is_none());
         assert_eq!(*t1, all_sources_payments(&cut, ap));
-        let t2 = e.price_epoch(&full, ap);
+        let t2 = advance(&mut e, &cut, &full, ap, None);
         assert_eq!(*t2, all_sources_payments(&full, ap));
         assert!(t2[2].is_some());
     }
@@ -1896,9 +1956,12 @@ mod tests {
     fn node_count_change_goes_cold_resize() {
         let mut e = IncrementalEngine::with_threads(1);
         let ap = NodeId(0);
-        e.price_epoch(&units(&[(0, 1)], &[0, 4]), ap);
+        let small = units(&[(0, 1)], &[0, 4]);
+        e.price_epoch(&small, ap, None);
         let bigger = units(&[(0, 1), (1, 2)], &[0, 4, 5]);
-        let got = e.price_epoch(&bigger, ap);
+        // No map across the resize: there is no step to take.
+        assert!(EpochStep::between(&small, &bigger, None).is_none());
+        let got = advance(&mut e, &small, &bigger, ap, None);
         assert_eq!(
             e.last_outcome(),
             EpochOutcome::ColdResize { from: 2, to: 3 }
@@ -1944,12 +2007,12 @@ mod tests {
         let mut e = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
         let ap = NodeId(3);
         let g0 = units(&[(0, 1), (1, 3), (0, 2), (2, 3)], &[0, 5, 7, 0]);
-        e.price_epoch(&g0, ap);
+        e.price_epoch(&g0, ap, None);
         let g1 = units(
             &[(0, 1), (1, 3), (0, 2), (2, 3), (0, 4), (4, 3)],
             &[0, 5, 7, 0, 1],
         );
-        let got = e.price_epoch_mapped(&g1, ap, &NodeMap::join(4, 1));
+        let got = advance(&mut e, &g0, &g1, ap, Some(&NodeMap::join(4, 1)));
         assert_eq!(
             e.last_outcome(),
             EpochOutcome::WarmResize {
@@ -1974,11 +2037,17 @@ mod tests {
             &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (2, 4)],
             &[0, 2, 5, 3, 4],
         );
-        e.price_epoch(&g0, ap);
+        e.price_epoch(&g0, ap, None);
         // Survivors: 0, 2, 3, old-4 (now 1). Old arcs among them:
         // (0,2), (2,3), (3,old4), (2,old4).
         let g1 = units(&[(0, 2), (2, 3), (3, 1), (2, 1)], &[0, 4, 5, 3]);
-        let got = e.price_epoch_mapped(&g1, ap, &NodeMap::leave_swap(5, NodeId(1)));
+        let got = advance(
+            &mut e,
+            &g0,
+            &g1,
+            ap,
+            Some(&NodeMap::leave_swap(5, NodeId(1))),
+        );
         assert!(matches!(
             e.last_outcome(),
             EpochOutcome::WarmResize {
@@ -1989,7 +2058,7 @@ mod tests {
         ));
         assert_eq!(*got, all_sources_payments(&g1, ap));
         // A further identity epoch reuses the warm tables.
-        let got2 = e.price_epoch_mapped(&g1, ap, &NodeMap::identity(4));
+        let got2 = advance(&mut e, &g1, &g1, ap, Some(&NodeMap::identity(4)));
         assert_eq!(e.last_outcome(), EpochOutcome::Reused);
         assert_eq!(got2, got);
     }
@@ -1999,9 +2068,9 @@ mod tests {
         let mut e = IncrementalEngine::with_threads(1).with_damage_threshold(0.0);
         let ap = NodeId(0);
         let g0 = units(&[(0, 1)], &[0, 4]);
-        e.price_epoch(&g0, ap);
+        e.price_epoch(&g0, ap, None);
         let g1 = units(&[(0, 1), (1, 2)], &[0, 4, 5]);
-        let got = e.price_epoch_mapped(&g1, ap, &NodeMap::join(2, 1));
+        let got = advance(&mut e, &g0, &g1, ap, Some(&NodeMap::join(2, 1)));
         assert!(matches!(e.last_outcome(), EpochOutcome::Fallback { .. }));
         assert_eq!(*got, all_sources_payments(&g1, ap));
     }
@@ -2011,9 +2080,11 @@ mod tests {
         // The AP itself cannot be mapped forward: the warm path refuses
         // and re-prices cold from scratch.
         let mut e = IncrementalEngine::with_threads(1).with_damage_threshold(1.0);
-        e.price_epoch(&units(&[(0, 1), (1, 2)], &[0, 4, 6]), NodeId(2));
+        let g0 = units(&[(0, 1), (1, 2)], &[0, 4, 6]);
+        e.price_epoch(&g0, NodeId(2), None);
         let g1 = units(&[(0, 1)], &[0, 4]);
-        let got = e.price_epoch_mapped(&g1, NodeId(0), &NodeMap::leave_swap(3, NodeId(2)));
+        let map = NodeMap::leave_swap(3, NodeId(2));
+        let got = advance(&mut e, &g0, &g1, NodeId(0), Some(&map));
         assert_eq!(e.last_outcome(), EpochOutcome::Cold);
         assert_eq!(*got, all_sources_payments(&g1, NodeId(0)));
     }

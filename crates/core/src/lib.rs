@@ -29,8 +29,9 @@
 //!   workspaces and a shared destination-table cache, bit-identical to
 //!   the per-session algorithms at any thread count;
 //! * [`delta`] — the [`delta::IncrementalEngine`]: all-to-AP pricing
-//!   amortized across mobility epochs by diffing consecutive graphs,
-//!   repairing only the dirty subtree slices, and re-pricing only the
+//!   amortized across mobility epochs by consuming the diff of
+//!   consecutive graphs ([`delta::EpochStep`]), repairing only the dirty
+//!   subtree slices, and re-pricing only the
 //!   affected branches — bit-identical to cold re-pricing at every epoch;
 //! * [`mechanism_impl`] — adapters exposing both schemes through
 //!   [`truthcast_mechanism::ScalarMechanism`] for black-box IC/IR and
@@ -64,7 +65,9 @@ pub use collusion_resistant::{
     khop_set, neighborhood_payments, neighborhood_set, q_set_payments, scheme_feasible,
     SetRemovalPricing,
 };
-pub use delta::{classify_delta, DirtyRegion, EpochOutcome, GraphDelta, IncrementalEngine};
+pub use delta::{
+    classify_delta, DirtyRegion, EpochOutcome, EpochStep, GraphDelta, IncrementalEngine,
+};
 pub use directed::{directed_payments, incurred_cost};
 pub use edge_agents::{fast_edge_payments, naive_edge_payments, EdgePricing};
 pub use fast::fast_payments;

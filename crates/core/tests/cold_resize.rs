@@ -6,7 +6,7 @@
 //! Single-test binary: asserts on the global `truthcast-obs` counters.
 
 use truthcast_core::all_sources_payments;
-use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
+use truthcast_core::delta::{EpochOutcome, EpochStep, IncrementalEngine};
 use truthcast_graph::{NodeId, NodeMap, NodeWeightedGraph};
 
 #[test]
@@ -24,17 +24,30 @@ fn node_count_change_reports_cold_resize() {
     // Node 4 leaves again.
     let e2 = e0.clone();
 
+    // Without a map there is no step across a resize.
+    let step = |old, new| EpochStep::between(old, new, None);
+    assert!(step(&e0, &e1).is_none());
+
     let mut engine = IncrementalEngine::with_threads(1);
-    assert_eq!(*engine.price_epoch(&e0, ap), all_sources_payments(&e0, ap));
+    assert_eq!(
+        *engine.price_epoch(&e0, ap, None),
+        all_sources_payments(&e0, ap)
+    );
     assert_eq!(engine.last_outcome(), EpochOutcome::Cold);
 
-    assert_eq!(*engine.price_epoch(&e1, ap), all_sources_payments(&e1, ap));
+    assert_eq!(
+        *engine.price_epoch(&e1, ap, step(&e0, &e1).as_ref()),
+        all_sources_payments(&e1, ap)
+    );
     assert_eq!(
         engine.last_outcome(),
         EpochOutcome::ColdResize { from: 4, to: 5 }
     );
 
-    assert_eq!(*engine.price_epoch(&e2, ap), all_sources_payments(&e2, ap));
+    assert_eq!(
+        *engine.price_epoch(&e2, ap, step(&e1, &e2).as_ref()),
+        all_sources_payments(&e2, ap)
+    );
     assert_eq!(
         engine.last_outcome(),
         EpochOutcome::ColdResize { from: 5, to: 4 }
@@ -42,21 +55,25 @@ fn node_count_change_reports_cold_resize() {
 
     // The engine recovers its incremental footing after a resize: an
     // unchanged follow-up epoch is a zero-cost reuse.
-    assert_eq!(*engine.price_epoch(&e2, ap), all_sources_payments(&e2, ap));
+    assert_eq!(
+        *engine.price_epoch(&e2, ap, step(&e2, &e2).as_ref()),
+        all_sources_payments(&e2, ap)
+    );
     assert_eq!(engine.last_outcome(), EpochOutcome::Reused);
 
     // An AP change stays plain Cold — resize is specifically churn.
     let other_ap = NodeId(3);
-    engine.price_epoch(&e2, other_ap);
+    engine.price_epoch(&e2, other_ap, step(&e2, &e2).as_ref());
     assert_eq!(engine.last_outcome(), EpochOutcome::Cold);
 
     // The warm cross-resize path: the same join epoch under an identity
     // map plus one birth repairs through the churn instead of going
     // cold, and counts under `core.delta.warm_resizes`.
     let mut warm = IncrementalEngine::with_threads(1).with_damage_threshold(1.0);
-    warm.price_epoch(&e0, ap);
+    let join = EpochStep::between(&e0, &e1, Some(&NodeMap::join(4, 1)));
+    warm.price_epoch(&e0, ap, None);
     assert_eq!(
-        *warm.price_epoch_mapped(&e1, ap, &NodeMap::join(4, 1)),
+        *warm.price_epoch(&e1, ap, join.as_ref()),
         all_sources_payments(&e1, ap)
     );
     assert!(
@@ -76,9 +93,9 @@ fn node_count_change_reports_cold_resize() {
     // back to a cold sweep — reported as `Fallback`, never `ColdResize`
     // (the caller supplied identities; only the repair was abandoned).
     let mut strict = IncrementalEngine::with_threads(1).with_damage_threshold(0.0);
-    strict.price_epoch(&e0, ap);
+    strict.price_epoch(&e0, ap, None);
     assert_eq!(
-        *strict.price_epoch_mapped(&e1, ap, &NodeMap::join(4, 1)),
+        *strict.price_epoch(&e1, ap, join.as_ref()),
         all_sources_payments(&e1, ap)
     );
     assert!(

@@ -11,10 +11,12 @@
 //! epoch pair toward a minimal divergent delta.
 
 use truthcast_core::all_sources::AllSourcesEngine;
-use truthcast_core::delta::{classify_delta, EpochOutcome, GraphDelta, IncrementalEngine};
+use truthcast_core::delta::{
+    classify_delta, EpochOutcome, EpochStep, GraphDelta, IncrementalEngine,
+};
 use truthcast_graph::generators::erdos_renyi;
 use truthcast_graph::spt::Spt;
-use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeWeightedGraph};
+use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeMap, NodeWeightedGraph};
 use truthcast_rt::{bools, cases, forall, prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
 
 /// An adjacent epoch pair: an Erdős–Rényi base, then a burst of edge
@@ -95,8 +97,8 @@ fn dirty_region_is_conservative() {
         }
 
         let mut engine = IncrementalEngine::with_threads(1).with_damage_threshold(1.0);
-        engine.price_epoch(&g0, ap);
-        engine.price_epoch(&g1, ap);
+        engine.price_epoch(&g0, ap, None);
+        engine.price_epoch(&g1, ap, EpochStep::between(&g0, &g1, None).as_ref());
         prop_assert!(
             matches!(
                 engine.last_outcome(),
@@ -157,6 +159,35 @@ fn delta_between_reports_real_changes_only() {
                 u,
                 v
             );
+        }
+        Ok(())
+    });
+}
+
+/// The epoch step over a same-node-set pair is the merge-walk diff,
+/// whichever way the identity is stated: no map, or an explicit
+/// identity [`NodeMap`]. Its delta equals [`GraphDelta::between`] and
+/// the projecting [`GraphDelta::between_mapped`] through the identity,
+/// entry for entry and in the same order, and the step is empty
+/// exactly when the graphs are equal.
+#[test]
+fn identity_step_is_the_merge_walk_diff() {
+    forall!(cases(64), (0u64..1 << 48, bools(), bools()), |(
+        seed,
+        ties,
+        same,
+    )| {
+        let (g0, g1) = epoch_pair(seed, ties);
+        let g1 = if same { g0.clone() } else { g1 };
+        let n = g0.num_nodes();
+        let identity = NodeMap::identity(n);
+        let merged = GraphDelta::between(&g0, &g1).expect("same node count");
+        let projected = GraphDelta::between_mapped(&g0, &g1, &identity).delta;
+        for map in [None, Some(&identity)] {
+            let step = EpochStep::between(&g0, &g1, map).expect("same node count");
+            prop_assert_eq!(step.delta(), &merged, "step vs between");
+            prop_assert_eq!(step.delta(), &projected, "step vs between_mapped");
+            prop_assert_eq!(step.is_empty(), g0 == g1);
         }
         Ok(())
     });

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use truthcast_core::all_sources::AllSourcesEngine;
-use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
+use truthcast_core::delta::{EpochOutcome, EpochStep, IncrementalEngine};
 use truthcast_graph::{NodeId, NodeWeightedGraph};
 use truthcast_obs::PaymentAudit;
 
@@ -62,7 +62,10 @@ fn repriced_sources_emit_cold_identical_audits() {
     let mut engine = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
     for (epoch, g) in graphs.iter().enumerate() {
         let mut got = Default::default();
-        let warm = capture(|| got = engine.price_epoch(g, ap));
+        let step = graphs[..epoch]
+            .last()
+            .and_then(|p| EpochStep::between(p, g, None));
+        let warm = capture(|| got = engine.price_epoch(g, ap, step.as_ref()));
         let mut expected = Vec::new();
         let cold = capture(|| {
             expected = AllSourcesEngine::with_threads(2).price_all_sources(g, ap);

@@ -21,7 +21,7 @@
 //! it); a failure prints the `TRUTHCAST_SEED` that reproduces it.
 
 use truthcast_core::all_sources::AllSourcesEngine;
-use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
+use truthcast_core::delta::{EpochOutcome, EpochStep, IncrementalEngine};
 use truthcast_graph::generators::{erdos_renyi, pairs_within_range, random_placement};
 use truthcast_graph::geometry::Region;
 use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeWeightedGraph};
@@ -138,7 +138,10 @@ fn check_trace(
 ) -> Result<Vec<EpochOutcome>, String> {
     let mut outcomes = Vec::with_capacity(graphs.len());
     for (epoch, g) in graphs.iter().enumerate() {
-        let got = engine.price_epoch(g, ap);
+        let step = graphs[..epoch]
+            .last()
+            .and_then(|p| EpochStep::between(p, g, None));
+        let got = engine.price_epoch(g, ap, step.as_ref());
         let mut cold = AllSourcesEngine::with_threads(engine.threads());
         let expected = cold.price_all_sources(g, ap);
         let outcome = engine.last_outcome();
@@ -247,7 +250,10 @@ fn tie_ambiguity_flip_stays_exact() {
     let mut engine = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
     let mut fallback_counts = Vec::new();
     for (epoch, g) in graphs.iter().enumerate() {
-        let got = engine.price_epoch(g, ap);
+        let step = graphs[..epoch]
+            .last()
+            .and_then(|p| EpochStep::between(p, g, None));
+        let got = engine.price_epoch(g, ap, step.as_ref());
         let expected = AllSourcesEngine::with_threads(2).price_all_sources(g, ap);
         assert_eq!(*got, expected, "epoch {epoch}");
         if epoch > 0 {
@@ -289,7 +295,10 @@ fn ap_disconnect_and_reconnect_stays_exact() {
 
     let mut engine = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
     for (epoch, g) in graphs.iter().enumerate() {
-        let got = engine.price_epoch(g, ap);
+        let step = graphs[..epoch]
+            .last()
+            .and_then(|p| EpochStep::between(p, g, None));
+        let got = engine.price_epoch(g, ap, step.as_ref());
         let expected = AllSourcesEngine::with_threads(2).price_all_sources(g, ap);
         assert_eq!(*got, expected, "epoch {epoch}");
     }

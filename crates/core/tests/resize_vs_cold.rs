@@ -1,5 +1,6 @@
-//! Differential churn battery: [`IncrementalEngine::price_epoch_mapped`]
-//! must be **bit-identical** to a cold [`AllSourcesEngine`] sweep at
+//! Differential churn battery: [`IncrementalEngine::price_epoch`] driven
+//! by [`EpochStep`]s through each epoch's [`NodeMap`] must be
+//! **bit-identical** to a cold [`AllSourcesEngine`] sweep at
 //! every epoch of a join/leave trace — payment tables *and* distance
 //! tables — at every thread count and at every damage threshold.
 //!
@@ -15,7 +16,7 @@
 //! it); a failure prints the `TRUTHCAST_SEED` that reproduces it.
 
 use truthcast_core::all_sources::AllSourcesEngine;
-use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
+use truthcast_core::delta::{EpochOutcome, EpochStep, IncrementalEngine};
 use truthcast_graph::generators::{pairs_within_range, random_placement};
 use truthcast_graph::geometry::{Point, Region};
 use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeMap, NodeWeightedGraph};
@@ -248,13 +249,16 @@ fn er_trace(seed: u64, ties: bool, mode: Mode) -> Vec<Step> {
     steps
 }
 
-/// Drives one warm engine down the churn trace via the mapped entry
-/// point and compares every epoch's payment *and* distance tables
+/// Drives one warm engine down the churn trace, one step through each
+/// epoch's map, and compares every epoch's payment *and* distance tables
 /// against a fresh cold engine.
 fn check_trace(steps: &[Step], mut engine: IncrementalEngine) -> Result<Vec<EpochOutcome>, String> {
     let mut outcomes = Vec::with_capacity(steps.len());
     for (epoch, s) in steps.iter().enumerate() {
-        let got = engine.price_epoch_mapped(&s.graph, s.ap, &s.map);
+        let step = steps[..epoch]
+            .last()
+            .and_then(|p| EpochStep::between(&p.graph, &s.graph, Some(&s.map)));
+        let got = engine.price_epoch(&s.graph, s.ap, step.as_ref());
         let mut cold = AllSourcesEngine::with_threads(engine.threads());
         let expected = cold.price_all_sources(&s.graph, s.ap);
         let outcome = engine.last_outcome();
@@ -376,8 +380,8 @@ fn ap_renumbered_by_leave_swap_stays_warm() {
     assert_eq!(ap1, NodeId(1));
 
     let mut e = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
-    e.price_epoch(&g0, ap0);
-    let got = e.price_epoch_mapped(&g1, ap1, &map);
+    e.price_epoch(&g0, ap0, None);
+    let got = e.price_epoch(&g1, ap1, EpochStep::between(&g0, &g1, Some(&map)).as_ref());
     assert!(
         matches!(
             e.last_outcome(),
@@ -409,8 +413,9 @@ fn chained_newborns_settle_through_decrease_seeds() {
         &[0, 10, 3, 1, 1],
     );
     let mut e = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
-    e.price_epoch(&g0, ap);
-    let got = e.price_epoch_mapped(&g1, ap, &NodeMap::join(3, 2));
+    e.price_epoch(&g0, ap, None);
+    let step = EpochStep::between(&g0, &g1, Some(&NodeMap::join(3, 2)));
+    let got = e.price_epoch(&g1, ap, step.as_ref());
     assert!(
         matches!(
             e.last_outcome(),

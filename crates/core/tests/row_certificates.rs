@@ -27,7 +27,7 @@
 use std::sync::Mutex;
 
 use truthcast_core::all_sources_payments;
-use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
+use truthcast_core::delta::{EpochOutcome, EpochStep, IncrementalEngine};
 use truthcast_core::pricing::UnicastPricing;
 use truthcast_graph::{NodeId, NodeWeightedGraph};
 
@@ -95,11 +95,12 @@ fn repair_epoch(next: &NodeWeightedGraph) -> Epoch {
 fn repair_between(g0: &NodeWeightedGraph, next: &NodeWeightedGraph) -> Epoch {
     let _lock = OBS.lock().unwrap_or_else(|e| e.into_inner());
     let mut engine = IncrementalEngine::with_threads(1).with_damage_threshold(1.0);
-    let before = engine.price_epoch(g0, AP).to_vec();
+    let before = engine.price_epoch(g0, AP, None).to_vec();
     assert_eq!(before, all_sources_payments(g0, AP));
     truthcast_obs::enable();
     truthcast_obs::reset();
-    let after = engine.price_epoch(next, AP).to_vec();
+    let step = EpochStep::between(g0, next, None);
+    let after = engine.price_epoch(next, AP, step.as_ref()).to_vec();
     let snap = truthcast_obs::snapshot();
     truthcast_obs::disable();
     assert!(

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use truthcast_core::all_sources_payments;
-use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
+use truthcast_core::delta::{EpochOutcome, EpochStep, IncrementalEngine};
 use truthcast_graph::generators::{pairs_within_range, random_placement};
 use truthcast_graph::geometry::Region;
 use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeMap, NodeWeightedGraph};
@@ -48,21 +48,22 @@ fn published_tables_are_shared_and_never_mutated() {
         let ap = NodeId(0);
         let mut engine = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
 
-        let t0 = engine.price_epoch(&g0, ap);
-        let again = engine.price_epoch(&g0, ap);
+        let t0 = engine.price_epoch(&g0, ap, None);
+        let again = engine.price_epoch(&g0, ap, EpochStep::between(&g0, &g0, None).as_ref());
         prop_assert_eq!(engine.last_outcome(), EpochOutcome::Reused);
         prop_assert!(
             Arc::ptr_eq(&t0, &again),
             "a zero-delta epoch copies nothing"
         );
-        let mapped = engine.price_epoch_mapped(&g0, ap, &NodeMap::identity(n));
+        let identity = EpochStep::between(&g0, &g0, Some(&NodeMap::identity(n)));
+        let mapped = engine.price_epoch(&g0, ap, identity.as_ref());
         prop_assert!(Arc::ptr_eq(&t0, &mapped), "nor does an identity-mapped one");
 
         // A repair epoch publishes a fresh table and leaves t0 alone.
         let v = NodeId(rng.gen_range(1..n as u32));
         // Above every initial cost, so the graph really changes.
         let g1 = g0.with_declared(v, Cost::from_units(rng.gen_range(20..40)));
-        let t1 = engine.price_epoch(&g1, ap);
+        let t1 = engine.price_epoch(&g1, ap, EpochStep::between(&g0, &g1, None).as_ref());
         prop_assert!(
             matches!(engine.last_outcome(), EpochOutcome::Repaired { .. }),
             "{:?}",
@@ -73,7 +74,8 @@ fn published_tables_are_shared_and_never_mutated() {
 
         // So does a warm-resize epoch, for t0 and t1 alike.
         let g2 = with_newborn(&g1, &mut rng);
-        let t2 = engine.price_epoch_mapped(&g2, ap, &NodeMap::join(n, 1));
+        let step = EpochStep::between(&g1, &g2, Some(&NodeMap::join(n, 1)));
+        let t2 = engine.price_epoch(&g2, ap, step.as_ref());
         prop_assert!(
             matches!(engine.last_outcome(), EpochOutcome::WarmResize { .. }),
             "{:?}",
@@ -96,10 +98,10 @@ fn a_dropped_table_is_repaired_in_place() {
         let mut engine = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
 
         // The caller drops the table, so the engine holds the only one.
-        let ptr = Arc::as_ptr(&engine.price_epoch(&g0, ap));
+        let ptr = Arc::as_ptr(&engine.price_epoch(&g0, ap, None));
         let v = NodeId(rng.gen_range(1..n as u32));
         let g1 = g0.with_declared(v, Cost::from_units(rng.gen_range(20..40)));
-        let t1 = engine.price_epoch(&g1, ap);
+        let t1 = engine.price_epoch(&g1, ap, EpochStep::between(&g0, &g1, None).as_ref());
         prop_assert!(
             matches!(engine.last_outcome(), EpochOutcome::Repaired { .. }),
             "{:?}",

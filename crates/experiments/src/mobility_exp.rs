@@ -23,7 +23,7 @@ use truthcast_rt::Rng;
 use truthcast_rt::SeedableRng;
 use truthcast_rt::SmallRng;
 
-use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
+use truthcast_core::delta::{EpochOutcome, EpochStep, IncrementalEngine};
 use truthcast_core::UnicastPricing;
 use truthcast_distsim::run_distributed;
 use truthcast_graph::geometry::Region;
@@ -97,7 +97,10 @@ pub fn run_mobility_epochs(graphs: &[NodeWeightedGraph], ap: NodeId) -> Vec<Epoc
     let mut engine = IncrementalEngine::new();
 
     for (epoch, g) in graphs.iter().enumerate() {
-        let pricings = engine.price_epoch(g, ap);
+        let step = graphs[..epoch]
+            .last()
+            .and_then(|p| EpochStep::between(p, g, None));
+        let pricings = engine.price_epoch(g, ap, step.as_ref());
         let outcome = engine.last_outcome();
         reports.push(report_epoch(
             epoch,
@@ -268,13 +271,13 @@ pub fn churn_epoch_graphs(n: usize, epochs: usize, churn: f64, seed: u64) -> Vec
     out
 }
 
-/// Prices a churn trace toward `ap` with one warm engine driven through
-/// [`IncrementalEngine::price_epoch_mapped`], so join/leave epochs
-/// repair across the resize instead of re-warming cold. Drift/churn
-/// baselines are carried *through the map*: a survivor's previous total
-/// follows it to its new index, newborns start without a baseline, and
-/// a previous route that referenced a departed relay is dropped from
-/// the comparison.
+/// Prices a churn trace toward `ap` with one warm engine, each epoch
+/// stepped through its [`NodeMap`] ([`EpochStep::between`]), so
+/// join/leave epochs repair across the resize instead of re-warming
+/// cold. Drift/churn baselines are carried *through the map*: a
+/// survivor's previous total follows it to its new index, newborns
+/// start without a baseline, and a previous route that referenced a
+/// departed relay is dropped from the comparison.
 pub fn run_mobility_churn_epochs(steps: &[ChurnEpoch], ap: NodeId) -> Vec<EpochReport> {
     let mut reports = Vec::with_capacity(steps.len());
     let mut prev_totals: Vec<Option<Cost>> = Vec::new();
@@ -283,6 +286,9 @@ pub fn run_mobility_churn_epochs(steps: &[ChurnEpoch], ap: NodeId) -> Vec<EpochR
 
     for (epoch, step) in steps.iter().enumerate() {
         let n = step.graph.num_nodes();
+        let diff = steps[..epoch]
+            .last()
+            .and_then(|p| EpochStep::between(&p.graph, &step.graph, Some(&step.map)));
         if epoch == 0 {
             prev_totals = vec![None; n];
             prev_routes = vec![None; n];
@@ -303,7 +309,7 @@ pub fn run_mobility_churn_epochs(steps: &[ChurnEpoch], ap: NodeId) -> Vec<EpochR
             prev_routes = routes;
         }
 
-        let pricings = engine.price_epoch_mapped(&step.graph, ap, &step.map);
+        let pricings = engine.price_epoch(&step.graph, ap, diff.as_ref());
         let outcome = engine.last_outcome();
         reports.push(report_epoch(
             epoch,

@@ -29,7 +29,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use truthcast_core::delta::EpochOutcome;
+use truthcast_core::delta::{EpochOutcome, EpochStep};
 use truthcast_core::UnicastPricing;
 use truthcast_graph::{NodeId, NodeMap, NodeWeightedGraph};
 use truthcast_rt::{default_threads, par_map};
@@ -140,7 +140,11 @@ pub struct PaymentService {
     cell: Arc<EpochCell>,
     /// Held from pricing through publication, so the cell has a single
     /// writer and concurrent `begin_epoch` calls run one after another.
-    epoch_lock: Mutex<()>,
+    /// Guards the graph every shard priced last: the one previous graph
+    /// each epoch is diffed against, once for all k shards. `None` until
+    /// set-up and after an epoch whose pricing panicked, which makes the
+    /// next epoch cold on every shard.
+    epoch_lock: Mutex<Option<NodeWeightedGraph>>,
     threads: usize,
 }
 
@@ -206,7 +210,7 @@ impl PaymentService {
         let service = PaymentService {
             shards,
             cell,
-            epoch_lock: Mutex::new(()),
+            epoch_lock: Mutex::new(None),
             threads: cfg.threads.max(1),
         };
         service.advance(g0, None);
@@ -223,9 +227,11 @@ impl PaymentService {
         self.shards.len()
     }
 
-    /// Advances every shard to the epoch graph `g`: each shard re-warms
-    /// its table, then all k tables are published together as the next
-    /// generation. Shards warm in parallel across the worker pool; each
+    /// Advances every shard to the epoch graph `g`: the service diffs `g`
+    /// against the previous epoch's graph once ([`EpochStep::between`]),
+    /// each shard repairs its table from that one step, then all k
+    /// tables are published together as the next generation. Shards
+    /// warm in parallel across the worker pool; each
     /// shard's engine was built with `threads / k` workers (floor, min
     /// 1), so the total never exceeds the configured budget — with
     /// k ≥ threads every warm runs single-threaded and the whole budget
@@ -250,9 +256,16 @@ impl PaymentService {
     /// population. (Encode AP-preserving renumberings accordingly, e.g.
     /// keep APs in the low indices so `leave_swap` never moves them.)
     /// Also if the map's lengths do not match `g` and the previous
-    /// epoch. A panic publishes nothing: the service keeps serving the
-    /// previous generation.
+    /// epoch. Both are checked before any shard prices, so a rejected
+    /// epoch publishes nothing and changes nothing: the service keeps
+    /// serving the previous generation, and the next valid epoch still
+    /// repairs warm.
     pub fn begin_epoch_mapped(&self, g: &NodeWeightedGraph, map: &NodeMap) -> Vec<EpochOutcome> {
+        assert_eq!(
+            map.new_len(),
+            g.num_nodes(),
+            "map new_len must match the epoch graph"
+        );
         for s in &self.shards {
             assert_eq!(
                 map.to_new(s.ap),
@@ -264,16 +277,30 @@ impl PaymentService {
         self.advance(g, Some(map))
     }
 
-    /// Prices all k shards for `g`, then publishes their tables as one
+    /// Diffs `g` against the previous graph once, prices all k shards
+    /// from that one step, then publishes their tables as one
     /// generation. Nothing is published until every shard has priced.
     fn advance(&self, g: &NodeWeightedGraph, map: Option<&NodeMap>) -> Vec<EpochOutcome> {
         let _span = truthcast_obs::span("service.begin_epoch");
-        let _writer = self.epoch_lock.lock().unwrap_or_else(|e| e.into_inner());
+        // A panic under this lock leaves `prev` valid: untouched before
+        // the take below, `None` after it.
+        let mut prev = self.epoch_lock.lock().unwrap_or_else(|e| e.into_inner());
+        // The step constructor checks the map against the previous graph,
+        // so a map that does not fit panics here, before anything changes.
+        let step = prev.as_ref().and_then(|p| EpochStep::between(p, g, map));
+        // Taken out while the shards price: if one panics, the service
+        // has no previous graph and every shard's next epoch is cold, so
+        // no engine repairs from a diff against a graph it never priced.
+        // An unchanged graph is kept instead of cloned.
+        let unchanged = prev
+            .take()
+            .filter(|_| step.as_ref().is_some_and(EpochStep::is_empty));
         self.cell.retire_inactive();
         let k = self.shards.len();
         let aps = par_map(k, self.threads.min(k), |i| {
-            self.shards[i].price_epoch(g, map)
+            self.shards[i].price_epoch(g, step.as_ref())
         });
+        *prev = Some(unchanged.unwrap_or_else(|| g.clone()));
         let outcomes = aps.iter().map(|a| a.outcome).collect();
         self.cell.publish(aps);
         outcomes

@@ -3,8 +3,8 @@
 //! sessions through a bounded queue.
 //!
 //! A shard owns everything that is mutable about one access point — the
-//! delta engine (warm distance tables, detour rows, previous-epoch
-//! graph) and the admission queue — behind coarse mutexes the serving
+//! delta engine (warm distance tables, detour rows) and the admission
+//! queue — behind coarse mutexes the serving
 //! hot path never touches. Front-end workers only ever see the shard's
 //! tables through the service's [`EpochCell`], so re-warming one AP's
 //! tables never stalls pricing against any AP, including its own.
@@ -13,8 +13,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
-use truthcast_graph::{NodeId, NodeMap, NodeWeightedGraph};
+use truthcast_core::delta::{EpochOutcome, EpochStep, IncrementalEngine};
+use truthcast_graph::{NodeId, NodeWeightedGraph};
 
 use crate::epoch::{ApCell, ApSnapshot, EpochCell};
 use crate::service::Settlement;
@@ -73,15 +73,17 @@ impl Shard {
     }
 
     /// Prices this AP for the epoch graph `g`, without publishing: the
-    /// service publishes all k tables together. With a [`NodeMap`] the
-    /// engine repairs *through* the churn (`price_epoch_mapped`);
-    /// without one a node-count change re-warms cold.
-    pub(crate) fn price_epoch(&self, g: &NodeWeightedGraph, map: Option<&NodeMap>) -> ApSnapshot {
+    /// service publishes all k tables together. `step` is the service's
+    /// one diff from the previous epoch graph to `g`, shared by every
+    /// shard; the engine repairs from it, *through* the churn when it
+    /// carries a [`truthcast_graph::NodeMap`]. `None` re-warms cold.
+    pub(crate) fn price_epoch(
+        &self,
+        g: &NodeWeightedGraph,
+        step: Option<&EpochStep>,
+    ) -> ApSnapshot {
         let mut engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
-        let pricing = match map {
-            Some(m) => engine.price_epoch_mapped(g, self.ap, m),
-            None => engine.price_epoch(g, self.ap),
-        };
+        let pricing = engine.price_epoch(g, self.ap, step);
         let outcome = engine.last_outcome();
         match outcome {
             EpochOutcome::ColdResize { .. } => {

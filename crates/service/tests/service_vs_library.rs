@@ -21,6 +21,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use truthcast_core::all_sources_payments;
+use truthcast_core::delta::EpochOutcome;
 use truthcast_core::UnicastPricing;
 use truthcast_graph::generators::{erdos_renyi, pairs_within_range, random_placement};
 use truthcast_graph::geometry::Region;
@@ -177,8 +178,8 @@ fn anycast_stays_exact_across_epochs() {
 }
 
 /// An epoch is published whole or not at all: a `begin_epoch_mapped`
-/// whose map does not fit the epoch graph panics in the first shard it
-/// reaches, and the service keeps serving the previous generation,
+/// whose map does not fit the epoch graph panics before any shard
+/// prices, and the service keeps serving the previous generation,
 /// bit-identical to the oracle, at every thread count. A correct retry
 /// then publishes normally: the shards' engines were left warm.
 #[test]
@@ -201,6 +202,68 @@ fn a_panicking_epoch_publishes_nothing() {
             service.begin_epoch_mapped(&g0, &NodeMap::identity(g0.num_nodes()));
             prop_assert_eq!(service.generation(), 3, "a correct retry publishes");
             check_batch(&service, &g0, &aps, 3)?;
+        }
+        Ok(())
+    });
+}
+
+/// A rejected epoch changes nothing, not even the graph the next epoch
+/// is diffed against: the next epoch's graph, offered first through a
+/// map that moves an AP and then through one that does not fit the
+/// previous epoch, panics both times with the generation unchanged.
+/// Offered again without a map, it still repairs warm on every shard and
+/// settles bit-identical to the oracle. A service that kept the rejected
+/// graph would see an empty diff and reuse stale tables; one that
+/// dropped its previous graph would price the epoch cold.
+#[test]
+fn a_rejected_epoch_keeps_the_next_one_warm() {
+    forall!(cases(8), (0u64..1 << 48, bools()), |(seed, udg)| {
+        let (g0, aps) = instance(seed, udg, false);
+        let n = g0.num_nodes();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x4E1EC7);
+        let v = NodeId(rng.gen_range(0..n as u32));
+        let g1 = g0.with_declared(v, Cost::from_units(rng.gen_range(0..10)));
+        // A real change, so a warm engine must repair, never reuse.
+        let w = NodeId(rng.gen_range(0..n as u32));
+        let g2 = g1.with_declared(w, g1.cost(w).saturating_add(Cost::from_units(1)));
+        let (a, b) = (aps[0].index(), (aps[0].index() + 1) % n);
+        let ap_moved = NodeMap::from_old_to_new(
+            (0..n)
+                .map(|i| {
+                    Some(NodeId::new(if i == a {
+                        b
+                    } else if i == b {
+                        a
+                    } else {
+                        i
+                    }))
+                })
+                .collect(),
+            n,
+        );
+        let stale = NodeMap::join(n - 1, 1);
+        for threads in THREADS {
+            let cfg = ServiceConfig::new(aps.clone())
+                .threads(threads)
+                .damage_threshold(1.0);
+            let service = PaymentService::new(&cfg, &g0);
+            service.begin_epoch(&g1);
+            for (what, map) in [("an AP move", &ap_moved), ("a stale map", &stale)] {
+                let failed =
+                    catch_unwind(AssertUnwindSafe(|| service.begin_epoch_mapped(&g2, map)));
+                prop_assert!(failed.is_err(), "{} must be rejected", what);
+                prop_assert_eq!(service.generation(), 2, "{} published nothing", what);
+            }
+            let outcomes = service.begin_epoch(&g2);
+            prop_assert!(
+                outcomes
+                    .iter()
+                    .all(|o| matches!(o, EpochOutcome::Repaired { .. })),
+                "the epoch after a rejected one must repair warm: {:?}",
+                outcomes
+            );
+            prop_assert_eq!(service.generation(), 3, "the valid epoch publishes");
+            check_batch(&service, &g2, &aps, 3)?;
         }
         Ok(())
     });

@@ -11,10 +11,18 @@ use truthcast::graph::{Cost, NodeId};
 use truthcast::protocol::{run_honest_session, Bank, Pki};
 use truthcast::wireless::{all_to_ap_sessions, Deployment, EnergyLedger};
 
+/// Deployments [`connected_instance`] draws before giving up. Small
+/// deployments of the paper's fixed region are rarely connected, so an
+/// unbounded rejection loop can spin for minutes on a too-small `n`.
+const MAX_DRAWS: usize = 4096;
+
 /// A connected paper-sim1 deployment with random scalar relay costs.
+///
+/// # Panics
+/// If none of the first [`MAX_DRAWS`] draws is connected.
 fn connected_instance(n: usize, seed: u64) -> truthcast::graph::NodeWeightedGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
-    loop {
+    for _ in 0..MAX_DRAWS {
         let d = Deployment::paper_sim1(n, 2.0, &mut rng);
         let costs = d.random_node_costs(1.0, 10.0, &mut rng);
         let g = d.to_node_weighted(costs);
@@ -22,6 +30,7 @@ fn connected_instance(n: usize, seed: u64) -> truthcast::graph::NodeWeightedGrap
             return g;
         }
     }
+    panic!("no connected paper-sim1 deployment in {MAX_DRAWS} draws (n={n}, seed={seed})");
 }
 
 #[test]
@@ -126,7 +135,7 @@ fn full_settlement_day_conserves_money_and_covers_relays() {
 fn directed_and_node_models_agree_on_symmetric_instances() {
     // When every link's cost equals the head's node cost, the directed
     // link-cost model reproduces the node-weighted LCP cost.
-    let g = connected_instance(40, 123);
+    let g = connected_instance(80, 123);
     let arcs: Vec<(NodeId, NodeId, Cost)> = g
         .adjacency()
         .edges()

@@ -9,7 +9,7 @@
 
 use truthcast::core::all_sources::AllSourcesEngine;
 use truthcast::core::batch::{PaymentEngine, SessionQuery};
-use truthcast::core::delta::{EpochOutcome, IncrementalEngine};
+use truthcast::core::delta::{EpochOutcome, EpochStep, IncrementalEngine};
 use truthcast::core::{fast_payments, naive_payments};
 use truthcast::graph::{Cost, NodeId, NodeWeightedGraph};
 use truthcast::obs;
@@ -330,9 +330,9 @@ fn golden_incremental_three_epoch_trace() {
     let ap = NodeId(0);
 
     let mut engine = IncrementalEngine::with_threads(2);
-    let t1 = engine.price_epoch(&e1, ap);
+    let t1 = engine.price_epoch(&e1, ap, None);
     assert_eq!(engine.last_outcome(), EpochOutcome::Cold);
-    let t2 = engine.price_epoch(&e2, ap);
+    let t2 = engine.price_epoch(&e2, ap, EpochStep::between(&e1, &e2, None).as_ref());
     assert_eq!(
         engine.last_outcome(),
         EpochOutcome::Repaired {
@@ -341,7 +341,7 @@ fn golden_incremental_three_epoch_trace() {
             repriced_sources: 1,
         }
     );
-    let t3 = engine.price_epoch(&e3, ap);
+    let t3 = engine.price_epoch(&e3, ap, EpochStep::between(&e2, &e3, None).as_ref());
     assert_eq!(
         engine.last_outcome(),
         EpochOutcome::Fallback { dirty_nodes: 4 }
